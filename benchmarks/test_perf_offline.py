@@ -8,9 +8,6 @@ speedups the fast offline phase is built to deliver:
 - ``parallel-push`` produces output identical to serial push, and
   beats it when the machine actually has ≥ 4 usable cores (a 1-core
   container marks the parallel timings ``skipped_single_core``),
-- the sharded offline phase merges per-shard blocks into a basis
-  bit-identical to the serial whole-graph push, with ≥ 3× speedup on
-  a ≥ 4-core box,
 - a warm (cached) estimator start is ≥ 10× faster than a cold compute
   on the Fig. 10 workload, bit-identical to the fresh basis,
 - incremental basis repair on the insertion-round protocol stays
@@ -57,12 +54,6 @@ def test_perf_offline(benchmark, record):
     else:
         assert result.basis["status"] == "skipped_single_core"
         assert cores < 2
-
-    # sharded: the merged basis is always bit-identical to serial
-    # (pool or no pool); the ≥ 3× win only holds with ≥ 4 real cores
-    assert result.sharded["identical"], result.sharded
-    if result.sharded["status"] == "ok" and cores >= 4:
-        assert result.sharded["speedup"] >= 3.0, result.sharded
 
     # cache: warm start loads the same basis much faster
     assert result.cache["warm_from_cache"]

@@ -60,7 +60,7 @@ _DESCRIPTIONS = {
     "fig14": "assignment size (k) sweep",
     "table5": "greedy assignment approximation error",
     "fig15": "assignment distribution over workers",
-    "perf": "offline-phase timings: kernel, parallel basis, sharded, cache",
+    "perf": "offline-phase timings: kernel, parallel basis, cache",
     "chaos": "interaction-loop resilience under injected faults",
     "telemetry": "instrumented run: span timings, counters, SLOs, trace",
     "timeline": "flight recorder: per-task timelines from a trace file",
@@ -138,19 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         "set REPRO_BASIS_CACHE to warm-start other commands too)",
     )
     perf.add_argument("--seed", type=int, default=7)
-    perf.add_argument(
-        "--sharded", dest="sharded", action="store_true", default=True,
-        help="measure the sharded offline phase (default: on)",
-    )
-    perf.add_argument(
-        "--no-sharded", dest="sharded", action="store_false",
-        help="skip the sharded section",
-    )
-    perf.add_argument(
-        "--shard-size", type=int, default=None,
-        help="max tasks per shard for the sharded section "
-        "(default: max(256, basis_tasks // (workers * 2)))",
-    )
     perf.add_argument(
         "--incremental", dest="incremental", action="store_true",
         default=True,
@@ -338,8 +325,6 @@ def main(argv: list[str] | None = None) -> int:
             num_workers=args.workers,
             cache_dir=args.cache_dir,
             seed=args.seed,
-            sharded=args.sharded,
-            shard_size=args.shard_size,
             incremental=args.incremental,
             stream_tasks=args.stream_tasks,
             stream_batch=args.stream_batch,

@@ -8,8 +8,6 @@ from repro.core.assigner import (
     compute_top_worker_set,
     compute_top_worker_sets,
     greedy_assign,
-    group_states_by_shard,
-    merge_shard_schemes,
     scheme_value,
 )
 from repro.core.config import (
@@ -32,8 +30,6 @@ from repro.core.multichoice import (
 )
 from repro.core.indexes import (
     ScalableAssigner,
-    ShardedGraph,
-    ShardIndex,
     SparseEstimateIndex,
 )
 from repro.core.streaming import GrowableGraph, StreamingAssigner
@@ -64,7 +60,6 @@ from repro.core.ppr import (
     PPRBasis,
     PushKernel,
     PushStats,
-    ShardedBasis,
     forward_push,
     forward_push_reference,
     power_iteration,
@@ -115,9 +110,6 @@ __all__ = [
     "PPRBasis",
     "QualificationConfig",
     "ScalableAssigner",
-    "ShardedBasis",
-    "ShardedGraph",
-    "ShardIndex",
     "SimilarityGraph",
     "SparseEstimateIndex",
     "StreamingAssigner",
@@ -141,9 +133,7 @@ __all__ = [
     "forward_push",
     "forward_push_reference",
     "greedy_assign",
-    "group_states_by_shard",
     "hungarian",
-    "merge_shard_schemes",
     "influence",
     "load_basis",
     "load_checkpoint",

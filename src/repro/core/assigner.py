@@ -31,7 +31,6 @@ from repro.core.types import Assignment, TaskId, WorkerId
 from repro.obs.metrics import NULL_RECORDER, Recorder
 
 if TYPE_CHECKING:
-    from repro.core.indexes import ShardIndex
     from repro.core.testing import PerformanceTester
 
 
@@ -208,38 +207,6 @@ def scheme_value(scheme: Sequence[TopWorkerSet]) -> float:
     return sum(c.sum_accuracy for c in scheme)
 
 
-def group_states_by_shard(
-    states: Sequence[TaskState], index: "ShardIndex"
-) -> dict[int, list[TaskState]]:
-    """Task states grouped by owning shard, shards in ascending order
-    (deterministic: groups are built sorted, members keep input order)."""
-    buckets: dict[int, list[TaskState]] = {}
-    for state in states:
-        buckets.setdefault(index.shard_of(state.task_id), []).append(state)
-    return {shard_id: buckets[shard_id] for shard_id in sorted(buckets)}
-
-
-def merge_shard_schemes(
-    shard_schemes: Mapping[int, Sequence[TopWorkerSet]],
-) -> list[TopWorkerSet]:
-    """Cross-shard pass: one global greedy over the shards' selections.
-
-    Each shard's local greedy already resolved intra-shard worker
-    conflicts, so the merge only has to arbitrate workers claimed by
-    selections in *different* shards — its input is the (small) union
-    of local winners, not every candidate.  When shards are
-    worker-disjoint no selection conflicts and the local schemes pass
-    through unchanged, which is the property the whole-graph-equality
-    test pins down.
-    """
-    candidates = [
-        candidate
-        for shard_id in sorted(shard_schemes)
-        for candidate in shard_schemes[shard_id]
-    ]
-    return greedy_assign(candidates)
-
-
 @dataclass
 class _RoundCache:
     """One computed greedy scheme, reused across the requests of a round.
@@ -257,10 +224,6 @@ class _RoundCache:
     scheme: list[TopWorkerSet]
     by_worker: dict[WorkerId, TopWorkerSet]
     served: set[WorkerId] = field(default_factory=set)
-    #: Per-shard local schemes backing ``scheme`` when the assigner is
-    #: sharded; lets a mid-round re-request refresh only the stale
-    #: shard and re-merge instead of recomputing every shard.
-    shard_schemes: dict[int, list[TopWorkerSet]] | None = None
 
 
 class AdaptiveAssigner:
@@ -284,84 +247,33 @@ class AdaptiveAssigner:
         self,
         config: AssignerConfig | None = None,
         tester: "PerformanceTester | None" = None,
-        shard_index: "ShardIndex | None" = None,
         recorder: Recorder = NULL_RECORDER,
     ) -> None:
         self.config = config or AssignerConfig()
         self.tester = tester
-        #: When set, greedy schemes are computed per shard and merged
-        #: with a cross-shard pass (see :func:`merge_shard_schemes`);
-        #: None keeps the whole-graph walk.
-        self.shard_index = shard_index
         self.recorder = recorder
         self._round_cache: _RoundCache | None = None
         #: Number of greedy scheme computations performed (tests assert
         #: amortisation: one per invalidation epoch, not one per request).
         self.scheme_computations = 0
 
-    def _compute_shard_schemes(
-        self,
-        states: Sequence[TaskState],
-        active_workers: Sequence[WorkerId],
-        accuracies: Mapping[WorkerId, np.ndarray],
-        refresh: set[int] | None = None,
-        previous: dict[int, list[TopWorkerSet]] | None = None,
-    ) -> dict[int, list[TopWorkerSet]]:
-        """Local greedy scheme per shard (shards in ascending order).
-
-        With ``refresh``/``previous`` given, only the named shards are
-        recomputed and the rest are carried over from ``previous`` —
-        the mid-round partial-invalidation path.
-        """
-        index = self.shard_index
-        assert index is not None
-        schemes: dict[int, list[TopWorkerSet]] = {}
-        for shard_id, members in group_states_by_shard(
-            states, index
-        ).items():
-            if (
-                refresh is not None
-                and previous is not None
-                and shard_id not in refresh
-            ):
-                schemes[shard_id] = previous.get(shard_id, [])
-                continue
-            self.recorder.counter(
-                "repro_assigner_shard_scheme_builds_total",
-                "Per-shard greedy schemes computed.",
-            ).inc()
-            candidates = compute_top_worker_sets_fast(
-                members, active_workers, accuracies
-            )
-            schemes[shard_id] = greedy_assign(candidates)
-        return schemes
-
     def _compute_scheme(
         self,
         states: Sequence[TaskState],
         active_workers: Sequence[WorkerId],
         accuracies: Mapping[WorkerId, np.ndarray],
-    ) -> tuple[list[TopWorkerSet], dict[int, list[TopWorkerSet]] | None]:
-        """Shared scheme walk: top worker sets, then greedy selection.
-
-        Returns the merged scheme plus, when sharded, the per-shard
-        local schemes it was merged from (for partial round refresh).
-        """
+    ) -> list[TopWorkerSet]:
+        """Shared scheme walk: top worker sets, then greedy selection."""
         self.scheme_computations += 1
         self.recorder.counter(
             "repro_assigner_scheme_builds_total",
             "Greedy assignment schemes computed from scratch.",
         ).inc()
         with self.recorder.span("assigner.scheme"):
-            if self.shard_index is not None:
-                shard_schemes = self._compute_shard_schemes(
-                    states, active_workers, accuracies
-                )
-                return merge_shard_schemes(shard_schemes), shard_schemes
             candidates = compute_top_worker_sets_fast(
                 states, active_workers, accuracies
             )
-            return greedy_assign(candidates), None
+            return greedy_assign(candidates)
 
     def invalidate(self) -> None:
         """Drop the cached round scheme (state changed out of band)."""
@@ -385,14 +297,11 @@ class AdaptiveAssigner:
                 "Worker requests served from the cached round scheme.",
             ).inc()
             return self._round_cache
-        scheme, shard_schemes = self._compute_scheme(
-            states, active_workers, accuracies
-        )
+        scheme = self._compute_scheme(states, active_workers, accuracies)
         cache = _RoundCache(
             key=key,
             scheme=scheme,
             by_worker=self._index_by_worker(scheme),
-            shard_schemes=shard_schemes,
         )
         self._round_cache = cache if epoch is not None else None
         return cache
@@ -407,46 +316,6 @@ class AdaptiveAssigner:
                 by_worker[scheme_worker] = selected
         return by_worker
 
-    def _refresh_round_shard(
-        self,
-        cache: _RoundCache,
-        shard_id: int,
-        states: Sequence[TaskState],
-        active_workers: Sequence[WorkerId],
-        accuracies: Mapping[WorkerId, np.ndarray],
-    ) -> _RoundCache:
-        """Recompute one stale shard's local scheme and re-merge.
-
-        Within a round (fixed epoch + active set) estimates cannot
-        change, so when a worker re-requests mid-round only the shard
-        owning her held task is stale — every other shard's local
-        scheme is still valid and is reused as-is.
-        """
-        assert cache.shard_schemes is not None
-        self.recorder.counter(
-            "repro_assigner_shard_refreshes_total",
-            "Mid-round scheme refreshes limited to the stale shard.",
-        ).inc()
-        with self.recorder.span("assigner.shard_refresh", shard=shard_id):
-            shard_schemes = self._compute_shard_schemes(
-                states,
-                active_workers,
-                accuracies,
-                refresh={shard_id},
-                previous=cache.shard_schemes,
-            )
-            scheme = merge_shard_schemes(shard_schemes)
-        refreshed = _RoundCache(
-            key=cache.key,
-            scheme=scheme,
-            by_worker=self._index_by_worker(scheme),
-            served=cache.served,
-            shard_schemes=shard_schemes,
-        )
-        if self._round_cache is cache:
-            self._round_cache = refreshed
-        return refreshed
-
     def assign(
         self,
         states: Sequence[TaskState],
@@ -459,7 +328,7 @@ class AdaptiveAssigner:
         greedy scheme, plus test assignments (``is_test=True``) for
         workers left idle when a tester is configured.
         """
-        scheme, _ = self._compute_scheme(states, active_workers, accuracies)
+        scheme = self._compute_scheme(states, active_workers, accuracies)
         assignments: list[Assignment] = []
         assigned_workers: set[WorkerId] = set()
         for selected in scheme:
@@ -512,27 +381,10 @@ class AdaptiveAssigner:
             # the worker re-requests while still holding her scheme slot:
             # recompute against current state (she is excluded from the
             # held task, so a fresh scheme may place her elsewhere).
-            held = cache.by_worker.get(worker_id)
-            if (
-                self.shard_index is not None
-                and cache.shard_schemes is not None
-                and held is not None
-            ):
-                # only the shard owning her held task went stale;
-                # refresh it alone and re-merge with the other shards'
-                # still-valid local schemes.
-                cache = self._refresh_round_shard(
-                    cache,
-                    self.shard_index.shard_of(held.task_id),
-                    states,
-                    active_workers,
-                    accuracies,
-                )
-            else:
-                self._round_cache = None
-                cache = self._scheme_for_round(
-                    states, active_workers, accuracies, epoch
-                )
+            self._round_cache = None
+            cache = self._scheme_for_round(
+                states, active_workers, accuracies, epoch
+            )
         selected = cache.by_worker.get(worker_id)
         if selected is not None:
             cache.served.add(worker_id)

@@ -34,20 +34,10 @@ class EstimatorConfig:
     #: Default accuracy for workers with no observations at all; the paper
     #: uses the warm-up average before the first estimate exists.
     prior_accuracy: float = 0.5
-    #: Process count for the parallel offline basis (``parallel-push``);
-    #: 0 = one worker per CPU core.  The parallel path is only auto-
-    #: selected when more than one worker resolves.
-    num_workers: int = 0
     #: Directory for the on-disk offline-basis cache; None disables it
     #: (the ``REPRO_BASIS_CACHE`` environment variable then acts as the
     #: fallback default, see :class:`repro.core.AccuracyEstimator`).
     basis_cache_dir: str | None = None
-    #: Shard-size cap for the sharded offline phase: 0 (default) keeps
-    #: the whole-graph basis; > 0 partitions the similarity graph by
-    #: connected components (components above the cap are split, small
-    #: ones packed) and stores the basis as per-shard row blocks, with
-    #: assignment running per-shard greedy + cross-shard merge.
-    shard_size: int = 0
     #: Route graph updates through incremental basis repair
     #: (:meth:`repro.core.ppr.PPRBasis.repair`): when the estimator's
     #: graph is swapped via ``update_graph`` and a basis already
@@ -69,10 +59,6 @@ class EstimatorConfig:
             raise ValueError("ppr_tol must be positive")
         if self.basis_epsilon < 0:
             raise ValueError("basis_epsilon must be >= 0")
-        if self.num_workers < 0:
-            raise ValueError("num_workers must be >= 0")
-        if self.shard_size < 0:
-            raise ValueError("shard_size must be >= 0")
 
     @property
     def damping(self) -> float:

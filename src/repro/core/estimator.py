@@ -9,8 +9,9 @@ and the observed accuracies:
   return the estimated vector ``p^w = Σ_i q_i^w · p_{t_i}``.
 
 The offline phase is the dominant cost of a run, so it is both
-parallelisable (``EstimatorConfig.num_workers`` shards the push rows
-over a process pool) and cacheable: when a cache directory is
+parallelisable (on large graphs :meth:`repro.core.ppr.PPRBasis.compute`
+splits the push rows over a process pool sized to the usable cores)
+and cacheable: when a cache directory is
 configured — explicitly, via ``EstimatorConfig.basis_cache_dir``, or
 via the ``REPRO_BASIS_CACHE`` environment variable — the computed basis
 is persisted keyed by a content hash of ``(S', damping, epsilon)`` and
@@ -38,8 +39,7 @@ import numpy as np
 
 from repro.core.config import EstimatorConfig
 from repro.core.graph import SimilarityGraph
-from repro.core.indexes import ShardIndex
-from repro.core.ppr import PPRBasis, ShardedBasis, power_iteration
+from repro.core.ppr import PPRBasis, power_iteration
 from repro.core.types import TaskId
 from repro.obs.metrics import NULL_RECORDER, Recorder
 
@@ -62,8 +62,8 @@ class AccuracyEstimator:
     graph:
         The microtask similarity graph.
     config:
-        Estimation knobs (``alpha``, tolerances, truncation,
-        parallelism, caching).
+        Estimation knobs (``alpha``, tolerances, truncation, caching,
+        incremental repair).
     basis_method:
         ``"auto"`` (default), ``"push"``, ``"parallel-push"``,
         ``"batch"`` or ``"power"`` for the offline basis computation.
@@ -89,8 +89,7 @@ class AccuracyEstimator:
         self.graph = graph
         self.config = config or EstimatorConfig()
         self._basis_method = basis_method
-        self._basis: PPRBasis | ShardedBasis | None = None
-        self._shard_index: ShardIndex | None = None
+        self._basis: PPRBasis | None = None
         self._cache_dir = self._resolve_cache_dir(cache_dir)
         self.recorder = recorder
         #: True when the current basis was served from the on-disk
@@ -112,34 +111,18 @@ class AccuracyEstimator:
     # offline phase
     # ------------------------------------------------------------------
     @property
-    def shard_index(self) -> ShardIndex | None:
-        """Task partition of the sharded offline phase, or None when
-        ``config.shard_size`` is 0 (unsharded).  Computed once — the
-        partition is a pure function of the graph and the cap, so the
-        maps stay stable for the lifetime of the estimator."""
-        if self.config.shard_size <= 0:
-            return None
-        if self._shard_index is None:
-            sharded = self.graph.partition(
-                max_shard_tasks=self.config.shard_size
-            )
-            self._shard_index = sharded.index
-        return self._shard_index
-
-    @property
-    def basis(self) -> PPRBasis | ShardedBasis:
-        """The offline PPR basis (per-shard blocks when sharding is
-        configured); loaded from cache or computed lazily on first
-        access."""
+    def basis(self) -> PPRBasis:
+        """The offline PPR basis; loaded from cache or computed lazily
+        on first access."""
         if self._basis is None:
             self._basis = self._load_or_compute_basis()
         return self._basis
 
-    def _load_or_compute_basis(self) -> PPRBasis | ShardedBasis:
+    def _load_or_compute_basis(self) -> PPRBasis:
         with self.recorder.span("estimator.offline"):
             return self._load_or_compute_basis_inner()
 
-    def _load_or_compute_basis_inner(self) -> PPRBasis | ShardedBasis:
+    def _load_or_compute_basis_inner(self) -> PPRBasis:
         key = None
         if self._cache_dir is not None:
             from repro.core.persistence import (
@@ -160,39 +143,21 @@ class AccuracyEstimator:
                     "repro_estimator_basis_cache_hits_total",
                     "Offline bases served from the on-disk cache.",
                 ).inc()
-                if self.shard_index is not None:
-                    # the cache stores the whole-graph form; re-block
-                    # it (cheap row slicing, no recomputation)
-                    return ShardedBasis.from_global(
-                        cached, self.shard_index
-                    )
                 return cached
         if self._cache_dir is not None:
             self.recorder.counter(
                 "repro_estimator_basis_cache_misses_total",
                 "Offline bases computed because the cache missed.",
             ).inc()
-        basis: PPRBasis | ShardedBasis
-        if self.shard_index is not None:
-            basis = ShardedBasis.compute(
-                self.graph.normalized,
-                self.shard_index,
-                damping=self.config.damping,
-                epsilon=self.config.basis_epsilon,
-                num_workers=self.config.num_workers or None,
-                recorder=self.recorder,
-            )
-        else:
-            basis = PPRBasis.compute(
-                self.graph.normalized,
-                damping=self.config.damping,
-                epsilon=self.config.basis_epsilon,
-                method=self._basis_method,
-                tol=self.config.ppr_tol,
-                max_iter=self.config.ppr_max_iter,
-                num_workers=self.config.num_workers or None,
-                recorder=self.recorder,
-            )
+        basis = PPRBasis.compute(
+            self.graph.normalized,
+            damping=self.config.damping,
+            epsilon=self.config.basis_epsilon,
+            method=self._basis_method,
+            tol=self.config.ppr_tol,
+            max_iter=self.config.ppr_max_iter,
+            recorder=self.recorder,
+        )
         self.basis_from_cache = False
         if key is not None:
             save_basis(basis, self._cache_dir, key)
@@ -220,18 +185,13 @@ class AccuracyEstimator:
         (:meth:`repro.core.ppr.PPRBasis.repair`): only perturbed and
         new rows are re-pushed, and the result — within
         ``basis_epsilon`` of a cold rebuild — is re-keyed into the
-        on-disk cache under the new graph's content hash.  When
-        sharding is configured, the partition is recomputed on the new
-        graph and a change confined to one shard repairs only that
-        shard (clean blocks with unchanged membership are reused
-        zero-copy).  Without ``incremental`` (or before any basis
-        exists), the basis is simply dropped and the next access
-        recomputes cold.
+        on-disk cache under the new graph's content hash.  Without
+        ``incremental`` (or before any basis exists), the basis is
+        simply dropped and the next access recomputes cold.
         """
         old_graph = self.graph
         self.graph = graph
         self._mass_cache.clear()
-        self._shard_index = None
         if not (self.config.incremental and self._basis is not None):
             self._basis = None
             self.basis_from_cache = False
@@ -241,41 +201,16 @@ class AccuracyEstimator:
                 "update_graph cannot shrink the task set "
                 f"({old_graph.num_tasks} -> {graph.num_tasks})"
             )
-        basis = self._basis
-        index = self.shard_index
-        repaired: PPRBasis | ShardedBasis
         with self.recorder.span(
             "estimator.repair", tasks=graph.num_tasks
         ):
-            if isinstance(basis, ShardedBasis):
-                if index is not None:
-                    repaired = basis.repair(
-                        graph.normalized,
-                        dirty,
-                        index,
-                        damping=self.config.damping,
-                        epsilon=self.config.basis_epsilon,
-                        recorder=self.recorder,
-                    )
-                else:
-                    # sharding switched off since the basis was built
-                    repaired = PPRBasis(basis.to_global()).repair(
-                        graph.normalized,
-                        dirty,
-                        damping=self.config.damping,
-                        epsilon=self.config.basis_epsilon,
-                        recorder=self.recorder,
-                    )
-            else:
-                repaired = basis.repair(
-                    graph.normalized,
-                    dirty,
-                    damping=self.config.damping,
-                    epsilon=self.config.basis_epsilon,
-                    recorder=self.recorder,
-                )
-                if index is not None:
-                    repaired = ShardedBasis.from_global(repaired, index)
+            repaired = self._basis.repair(
+                graph.normalized,
+                dirty,
+                damping=self.config.damping,
+                epsilon=self.config.basis_epsilon,
+                recorder=self.recorder,
+            )
         self._basis = repaired
         self.basis_from_cache = False
         if self._cache_dir is not None:

@@ -146,11 +146,7 @@ class ICrowd:
             prior_accuracy=self.config.estimator.prior_accuracy,
         )
         self.assigner = AdaptiveAssigner(
-            self.config.assigner,
-            tester=tester,
-            # sharded offline phase ⇒ per-shard greedy + merge online
-            shard_index=self.estimator.shard_index,
-            recorder=self.recorder,
+            self.config.assigner, tester=tester, recorder=self.recorder
         )
 
     # ------------------------------------------------------------------
@@ -272,9 +268,16 @@ class ICrowd:
                 AnswerOutcome.DUPLICATE if already else AnswerOutcome.ACCEPTED
             )
         vote_state = self._votes[task_id]
-        if worker_id in vote_state.workers():
+        state = self._states[task_id]
+        if (
+            worker_id in vote_state.workers()
+            or worker_id in state.tested_workers
+        ):
+            # tested_workers covers a vote held past its lease expiry
+            # that arrives after the task was re-leased to the same
+            # worker as a performance test: that worker has seen it
             return AnswerOutcome.DUPLICATE
-        if self._states[task_id].completed:
+        if state.completed:
             # the slot was requeued and filled by someone else first
             return AnswerOutcome.IGNORED
         return AnswerOutcome.ACCEPTED

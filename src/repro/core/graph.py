@@ -13,9 +13,7 @@ memory-feasible.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
@@ -23,9 +21,6 @@ from scipy import sparse
 from repro.core.config import GraphConfig
 from repro.core.similarity import compute_similarity
 from repro.core.types import Task, TaskId
-
-if TYPE_CHECKING:
-    from repro.core.indexes import ShardedGraph
 
 
 class SimilarityGraph:
@@ -209,104 +204,3 @@ class SimilarityGraph:
         for task_id, label in enumerate(labels):
             components[label].add(task_id)
         return components
-
-    # ------------------------------------------------------------------
-    # partitioning (the sharded offline phase)
-    # ------------------------------------------------------------------
-    def _component_members(self) -> list[np.ndarray]:
-        """Connected components as sorted id arrays, in deterministic
-        order (each component appears at its smallest member's rank —
-        scipy labels components by first-visited node)."""
-        _, labels = sparse.csgraph.connected_components(
-            self._matrix, directed=False
-        )
-        order = np.argsort(labels, kind="stable")
-        boundaries = np.flatnonzero(np.diff(labels[order])) + 1
-        return [np.asarray(part) for part in np.split(order, boundaries)]
-
-    def _bfs_order(self, members: np.ndarray) -> np.ndarray:
-        """Deterministic BFS visitation order over one component.
-
-        Starts at the smallest member and expands neighbours in
-        ascending id order, so equal graphs always produce equal
-        orders.  Used by the split heuristic: cutting a BFS order into
-        contiguous chunks keeps each chunk neighbourhood-dense, which
-        is a cheap proxy for a small edge cut.
-        """
-        indptr = self._matrix.indptr
-        indices = self._matrix.indices
-        pending = np.zeros(self.num_tasks, dtype=bool)
-        pending[members] = True
-        order = np.empty(members.size, dtype=np.int64)
-        filled = 0
-        queue: deque[int] = deque([int(members[0])])
-        pending[members[0]] = False
-        while queue:
-            node = queue.popleft()
-            order[filled] = node
-            filled += 1
-            neighbors = np.sort(indices[indptr[node] : indptr[node + 1]])
-            for neighbor in neighbors.tolist():
-                if pending[neighbor]:
-                    pending[neighbor] = False
-                    queue.append(int(neighbor))
-        # components are connected, so BFS reaches every member
-        return order
-
-    def partition(
-        self, max_shard_tasks: int | None = None
-    ) -> "ShardedGraph":
-        """Shard the task set for the sharded offline phase.
-
-        Shards follow connected components: small components are packed
-        together greedily (in deterministic smallest-member order) up
-        to ``max_shard_tasks``, and components *larger* than the cap are
-        split by a cheap deterministic edge-cut heuristic — contiguous
-        chunks of the component's BFS order (see :meth:`_bfs_order`).
-        With ``max_shard_tasks=None`` every component becomes its own
-        shard and no edge is cut.
-
-        Returns a :class:`repro.core.indexes.ShardedGraph` carrying the
-        stable task ↔ (shard, local-id) maps plus partition diagnostics
-        (``cut_edges``, ``split_components``).
-        """
-        from repro.core.indexes import ShardedGraph, ShardIndex
-
-        if max_shard_tasks is not None and max_shard_tasks <= 0:
-            raise ValueError(
-                f"max_shard_tasks must be positive, got {max_shard_tasks}"
-            )
-        shards: list[np.ndarray] = []
-        split_components = 0
-        pack: list[np.ndarray] = []
-        packed = 0
-        for members in self._component_members():
-            if max_shard_tasks is None:
-                shards.append(members)
-                continue
-            if members.size > max_shard_tasks:
-                split_components += 1
-                bfs = self._bfs_order(members)
-                for start in range(0, bfs.size, max_shard_tasks):
-                    shards.append(
-                        np.sort(bfs[start : start + max_shard_tasks])
-                    )
-                continue
-            if packed and packed + members.size > max_shard_tasks:
-                shards.append(np.concatenate(pack))
-                pack, packed = [], 0
-            pack.append(members)
-            packed += members.size
-        if pack:
-            shards.append(np.concatenate(pack))
-        index = ShardIndex(shards, self.num_tasks)
-        coo = self._matrix.tocoo()
-        cut = int(
-            np.count_nonzero(
-                index.shards_of(coo.row) != index.shards_of(coo.col)
-            )
-            // 2
-        )
-        return ShardedGraph(
-            self, index, cut_edges=cut, split_components=split_components
-        )

@@ -18,173 +18,17 @@ neighbourhood a worker's evidence reaches — never on |T|:
 request/answer interaction the full framework uses, trading the global
 greedy scheme for the indexed per-worker argmax — the regime the paper's
 scalability simulation measures.
-
-:class:`ShardIndex` and :class:`ShardedGraph` carry the task partition
-of the sharded offline phase: stable task-id ↔ (shard, local-id) maps
-produced by :meth:`repro.core.graph.SimilarityGraph.partition`, consumed
-by the shared-memory basis builder (:class:`repro.core.ppr.ShardedBasis`)
-and the per-shard greedy assignment in
-:class:`repro.core.assigner.AdaptiveAssigner`.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Container, Iterable, Mapping, Sequence
-from typing import TYPE_CHECKING
+from collections.abc import Container, Mapping
 
-import numpy as np
 from scipy import sparse
 
 from repro.core.ppr import PushKernel
 from repro.core.types import TaskId, WorkerId
-
-if TYPE_CHECKING:
-    from repro.core.graph import SimilarityGraph
-
-
-class ShardIndex:
-    """Stable task-id ↔ (shard, local-id) maps over a task partition.
-
-    A shard is a non-empty set of task ids; shards must partition
-    ``range(num_tasks)`` exactly (every task in exactly one shard).
-    Task ids within a shard are kept sorted ascending, and a task's
-    *local id* is its rank inside its shard's sorted id array — so the
-    maps are a pure function of the partition, independent of the
-    order shards or members were supplied in.
-    """
-
-    def __init__(
-        self, shards: Sequence[Iterable[TaskId]], num_tasks: int
-    ) -> None:
-        if num_tasks <= 0:
-            raise ValueError(f"num_tasks must be positive, got {num_tasks}")
-        shard_of = np.full(num_tasks, -1, dtype=np.int64)
-        local_of = np.full(num_tasks, -1, dtype=np.int64)
-        shard_tasks: list[np.ndarray] = []
-        for shard_id, members in enumerate(shards):
-            tasks = np.asarray(sorted(members), dtype=np.int64)
-            if tasks.size == 0:
-                raise ValueError(f"shard {shard_id} is empty")
-            if tasks[0] < 0 or tasks[-1] >= num_tasks:
-                raise ValueError(
-                    f"shard {shard_id} contains out-of-range task ids"
-                )
-            if np.unique(tasks).size != tasks.size:
-                raise ValueError(f"shard {shard_id} repeats a task id")
-            taken = shard_of[tasks] >= 0
-            if bool(taken.any()):
-                raise ValueError(
-                    f"tasks {tasks[taken][:5].tolist()} appear in more "
-                    f"than one shard"
-                )
-            shard_of[tasks] = shard_id
-            local_of[tasks] = np.arange(tasks.size, dtype=np.int64)
-            shard_tasks.append(tasks)
-        uncovered = np.flatnonzero(shard_of < 0)
-        if uncovered.size:
-            raise ValueError(
-                f"tasks {uncovered[:5].tolist()} belong to no shard"
-            )
-        self._shard_of = shard_of
-        self._local_of = local_of
-        self._shard_tasks = shard_tasks
-
-    @property
-    def num_tasks(self) -> int:
-        return int(self._shard_of.shape[0])
-
-    @property
-    def num_shards(self) -> int:
-        return len(self._shard_tasks)
-
-    def shard_of(self, task_id: TaskId) -> int:
-        """Owning shard of a task."""
-        if not 0 <= task_id < self.num_tasks:
-            raise ValueError(f"task id {task_id} out of range")
-        return int(self._shard_of[task_id])
-
-    def shards_of(self, task_ids: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`shard_of` over an id array."""
-        return self._shard_of[np.asarray(task_ids, dtype=np.int64)]
-
-    def local_of(self, task_id: TaskId) -> int:
-        """Local row index of a task inside its owning shard."""
-        if not 0 <= task_id < self.num_tasks:
-            raise ValueError(f"task id {task_id} out of range")
-        return int(self._local_of[task_id])
-
-    def locate(self, task_id: TaskId) -> tuple[int, int]:
-        """``(shard, local-id)`` of a task in one lookup."""
-        return self.shard_of(task_id), self.local_of(task_id)
-
-    def shard_tasks(self, shard_id: int) -> np.ndarray:
-        """Sorted global task ids of one shard (do not mutate)."""
-        if not 0 <= shard_id < self.num_shards:
-            raise ValueError(f"shard id {shard_id} out of range")
-        return self._shard_tasks[shard_id]
-
-    def shard_sizes(self) -> list[int]:
-        """Task count per shard, in shard order."""
-        return [int(tasks.size) for tasks in self._shard_tasks]
-
-    def group(
-        self, task_ids: Iterable[TaskId]
-    ) -> dict[int, list[TaskId]]:
-        """Group task ids by owning shard (shards in ascending order,
-        members in input order)."""
-        grouped: dict[int, list[TaskId]] = {}
-        for task_id in task_ids:
-            grouped.setdefault(self.shard_of(task_id), []).append(task_id)
-        return {shard: grouped[shard] for shard in sorted(grouped)}
-
-
-class ShardedGraph:
-    """A similarity graph together with its task partition.
-
-    Produced by :meth:`repro.core.graph.SimilarityGraph.partition`;
-    bundles the graph, the :class:`ShardIndex` and the partition
-    diagnostics (how many connected components were split, how many
-    similarity edges the split cut).  Cut edges are a *diagnostic*, not
-    a correctness concern: the sharded basis builder always pushes on
-    the full matrix, so basis values are unaffected by where the
-    partition cuts.
-    """
-
-    def __init__(
-        self,
-        graph: "SimilarityGraph",
-        index: ShardIndex,
-        cut_edges: int = 0,
-        split_components: int = 0,
-    ) -> None:
-        if graph.num_tasks != index.num_tasks:
-            raise ValueError(
-                f"index covers {index.num_tasks} tasks but graph has "
-                f"{graph.num_tasks}"
-            )
-        self.graph = graph
-        self.index = index
-        #: Undirected similarity edges whose endpoints landed in
-        #: different shards (0 when every shard is a component union).
-        self.cut_edges = cut_edges
-        #: Connected components larger than the shard cap that the
-        #: edge-cut heuristic had to split.
-        self.split_components = split_components
-
-    @property
-    def num_shards(self) -> int:
-        return self.index.num_shards
-
-    @property
-    def num_tasks(self) -> int:
-        return self.graph.num_tasks
-
-    def shard_normalized(self, shard_id: int) -> sparse.csr_matrix:
-        """Shard-local view of ``S'`` (rows/columns restricted to the
-        shard's tasks, in local-id order); diagnostic helper."""
-        tasks = self.index.shard_tasks(shard_id)
-        return self.graph.normalized[tasks][:, tasks].tocsr()
 
 
 class SparseEstimateIndex:

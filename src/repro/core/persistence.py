@@ -38,7 +38,7 @@ from repro.core.config import ICrowdConfig
 from repro.core.estimator import AccuracyEstimator
 from repro.core.framework import ICrowd
 from repro.core.graph import SimilarityGraph
-from repro.core.ppr import PPRBasis, ShardedBasis
+from repro.core.ppr import PPRBasis
 from repro.core.qualification import WarmUpState
 from repro.core.types import Answer, Label, TaskSet
 
@@ -83,17 +83,14 @@ def basis_cache_path(
 
 
 def save_basis(
-    basis: PPRBasis | ShardedBasis,
+    basis: PPRBasis,
     cache_dir: str | pathlib.Path,
     key: str,
 ) -> pathlib.Path:
     """Persist a basis under ``key``; atomic against concurrent readers.
 
     Stores the raw CSR arrays uncompressed so a reload reproduces the
-    basis bit-for-bit.  Sharded bases are stored in their whole-graph
-    form (``.matrix`` re-assembles the blocks), so the cache format is
-    shared: an unsharded run can consume a sharded run's entry and vice
-    versa (:meth:`repro.core.ppr.ShardedBasis.from_global` re-blocks).
+    basis bit-for-bit.
     """
     directory = pathlib.Path(cache_dir)
     directory.mkdir(parents=True, exist_ok=True)

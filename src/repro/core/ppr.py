@@ -23,11 +23,11 @@ Lemma 3's linearity property is realised by :class:`PPRBasis`: the
 converged vector for every unit restart ``q = e_i`` is precomputed
 offline (Algorithm 1's offline phase) and the online estimate is the
 ``q``-weighted sum of basis rows, an O(|T|) combination.  The offline
-phase can run serially (``method="push"``) or sharded over a process
+phase can run serially (``method="push"``) or split over a process
 pool (``method="parallel-push"``); both produce identical bases.
 
 The same linearity powers **incremental maintenance** for unbounded
-task streams (:meth:`PPRBasis.repair` / :meth:`ShardedBasis.repair`):
+task streams (:meth:`PPRBasis.repair`):
 when the graph gains tasks or edges, an old solution ``p`` is still a
 valid *partial* solution against the new matrix — the push invariant
 ``p* = p + (1-c)(I - cS')^{-1} r`` holds exactly for the residual
@@ -46,16 +46,12 @@ from collections import deque
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
-from typing import TYPE_CHECKING, cast
+from typing import cast
 
 import numpy as np
 from scipy import sparse
 
 from repro.obs.metrics import MASS_BUCKETS, NULL_RECORDER, Recorder
-
-if TYPE_CHECKING:
-    from repro.core.indexes import ShardIndex
 
 
 class ConvergenceWarning(UserWarning):
@@ -86,8 +82,8 @@ class RepairStats:
     """Work summary of one incremental basis repair.
 
     Pass a fresh instance via the ``stats`` parameter of
-    :meth:`PPRBasis.repair` / :meth:`ShardedBasis.repair` to observe
-    how much of the basis the change actually perturbed.
+    :meth:`PPRBasis.repair` to observe how much of the basis the change
+    actually perturbed.
     """
 
     #: Existing rows re-pushed because the change reached their support.
@@ -509,7 +505,7 @@ def forward_push_reference(
 
 
 # ----------------------------------------------------------------------
-# parallel basis construction (shared-memory pool, nnz-sized chunks)
+# parallel basis construction (process pool, nnz-sized chunks)
 # ----------------------------------------------------------------------
 #: Below these input sizes a parallel basis request is routed to the
 #: serial kernel: pool start-up plus result IPC costs more than the
@@ -529,175 +525,49 @@ _CHUNKS_PER_WORKER = 4
 _MIN_CHUNK_NNZ = 10_000
 
 #: Per-process state installed by :func:`_pool_initializer`: the
-#: shared-memory segments (kept referenced so the attached numpy views
-#: stay valid), the kernel built on them, and the solve parameters.
+#: kernel built on the transition matrix and the solve parameters.
 _POOL_STATE: dict[str, object] = {}
 
 
-@dataclass(frozen=True)
-class _SharedArraySpec:
-    """Name + layout of one numpy array published via shared memory."""
+def usable_cpu_count() -> int:
+    """Cores this process may actually run on.
 
-    name: str
-    dtype: str
-    shape: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class _SharedCSRSpec:
-    """Picklable handle to a CSR matrix living in shared memory."""
-
-    shape: tuple[int, int]
-    data: _SharedArraySpec
-    indices: _SharedArraySpec
-    indptr: _SharedArraySpec
-
-
-class _SharedCSRPublisher:
-    """Publish a CSR matrix's arrays once via POSIX shared memory.
-
-    The parent copies ``data``/``indices``/``indptr`` into three
-    shared-memory segments before the pool starts; every worker then
-    attaches zero-copy views in its initializer instead of receiving a
-    pickled matrix per chunk.  The parent owns the segment lifetime —
-    call :meth:`close` (idempotent) once the pool has shut down.
+    ``os.cpu_count()`` reports the machine; CI runners and container
+    limits often pin the process to fewer cores, and a pool sized to
+    phantom cores just adds IPC overhead.  Affinity is the honest
+    number where the platform exposes it.
     """
-
-    def __init__(
-        self,
-        matrix: sparse.csr_matrix,
-        recorder: Recorder = NULL_RECORDER,
-    ) -> None:
-        self._recorder = recorder
-        self._segments: list[shared_memory.SharedMemory] = []
-        specs: list[_SharedArraySpec] = []
-        try:
-            for array in (matrix.data, matrix.indices, matrix.indptr):
-                array = np.ascontiguousarray(array)
-                segment = shared_memory.SharedMemory(
-                    create=True, size=max(1, array.nbytes)
-                )
-                # own the segment before anything that can raise, so a
-                # partial publish is torn down by the except below
-                self._segments.append(segment)
-                view: np.ndarray = np.ndarray(
-                    array.shape, dtype=array.dtype, buffer=segment.buf
-                )
-                view[:] = array
-                specs.append(
-                    _SharedArraySpec(
-                        segment.name, array.dtype.str, array.shape
-                    )
-                )
-        except BaseException:
-            self.close()
-            raise
-        self.spec = _SharedCSRSpec(
-            shape=matrix.shape,
-            data=specs[0],
-            indices=specs[1],
-            indptr=specs[2],
-        )
-
-    def close(self) -> None:
-        """Release and unlink every segment (safe to call twice).
-
-        Each segment is torn down independently: one failing
-        ``close()``/``unlink()`` cannot skip the remaining segments.
-        Failures are counted on ``repro_ppr_shm_unlink_errors_total``
-        (each one is a leak candidate the OS must reclaim).
-        """
-        segments, self._segments = self._segments, []
-        errors = 0
-        for segment in segments:
-            try:
-                segment.close()
-            except OSError:
-                errors += 1
-            try:
-                segment.unlink()
-            except OSError:
-                errors += 1
-        if errors:
-            self._recorder.counter(
-                "repro_ppr_shm_unlink_errors_total",
-                "Shared-memory segment close()/unlink() failures during "
-                "publisher teardown (leak candidates).",
-            ).inc(errors)
-
-
-def _noop_register(name: str, rtype: str) -> None:
-    """Stand-in for ``resource_tracker.register`` while workers attach
-    parent-owned segments (registration would race the parent's own
-    register/unregister pair at unlink time)."""
-
-
-def _attach(
-    specs: Sequence[_SharedArraySpec],
-) -> tuple[list[np.ndarray], list[shared_memory.SharedMemory]]:
-    """Attach every published segment in ``specs`` as a zero-copy view.
-
-    The resource-tracker monkeypatch (see :func:`_noop_register`) spans
-    all attaches and is restored in a ``finally`` so a failing attach
-    cannot leave the tracker permanently patched; segments attached
-    before a failure are closed before the error propagates, so a
-    partially initialised worker holds no dangling mappings.
-    """
-    arrays: list[np.ndarray] = []
-    segments: list[shared_memory.SharedMemory] = []
-    original_register = resource_tracker.register
-    resource_tracker.register = _noop_register  # type: ignore[assignment]
-    try:
-        for spec in specs:
-            segment = shared_memory.SharedMemory(name=spec.name)
-            segments.append(segment)
-            array: np.ndarray = np.ndarray(
-                spec.shape, dtype=np.dtype(spec.dtype), buffer=segment.buf
-            )
-            arrays.append(array)
-    except BaseException:
-        for segment in segments:
-            try:
-                segment.close()
-            except OSError:
-                pass
-        raise
-    finally:
-        resource_tracker.register = original_register  # type: ignore[assignment]
-    return arrays, segments
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    if getaffinity is not None:
+        return len(getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _pool_initializer(
-    spec: _SharedCSRSpec,
+    matrix: sparse.csr_matrix,
     damping: float,
     push_epsilon: float,
     epsilon: float,
 ) -> None:
-    """Attach the shared transition matrix and build this worker's
-    kernel once; work units then carry only their source ids."""
-    (data, indices, indptr), segments = _attach(
-        (spec.data, spec.indices, spec.indptr)
-    )
-    matrix = sparse.csr_matrix(
-        (data, indices, indptr), shape=spec.shape, copy=False
-    )
-    _POOL_STATE["segments"] = tuple(segments)
+    """Build this worker's kernel once from the pool's ``initargs``.
+
+    The transition matrix reaches each worker once — inherited with the
+    address space under ``fork``, pickled under ``spawn`` /
+    ``forkserver`` — so work units carry only their source ids and no
+    OS-level segment outlives the pool.
+    """
     _POOL_STATE["kernel"] = PushKernel(matrix)
     _POOL_STATE["params"] = (damping, push_epsilon, epsilon)
 
 
 def _pool_push_unit(
-    unit: tuple[int, np.ndarray],
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    unit_id, sources = unit
+    sources: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     kernel = cast(PushKernel, _POOL_STATE["kernel"])
     damping, push_epsilon, epsilon = cast(
         "tuple[float, float, float]", _POOL_STATE["params"]
     )
-    counts, cols, vals = push_sources(
-        kernel, sources, damping, push_epsilon, epsilon
-    )
-    return unit_id, counts, cols, vals
+    return push_sources(kernel, sources, damping, push_epsilon, epsilon)
 
 
 def basis_push_epsilon(epsilon: float) -> float:
@@ -712,27 +582,33 @@ def push_sources(
     damping: float,
     push_epsilon: float,
     epsilon: float,
+    stats: RepairStats | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Push every source in ``sources`` and pack the surviving entries.
 
     Returns per-row entry counts plus the concatenated column/value
     arrays — the raw CSR building blocks — without ever materialising
     per-entry Python objects.  Sources may be any id sequence (a
-    contiguous range or a shard's sorted task array).
+    contiguous range or a sorted id array).  ``stats`` accumulates the
+    push count (the cold-row half of incremental repair).
     """
     counts = np.zeros(len(sources), dtype=np.int64)
     col_parts: list[np.ndarray] = []
     val_parts: list[np.ndarray] = []
+    pushes = 0
     for offset, source in enumerate(sources):
-        nodes, values, _ = kernel.push(
+        nodes, values, push_stats = kernel.push(
             int(source), damping, epsilon=push_epsilon
         )
+        pushes += push_stats.pushes
         if epsilon > 0:
             keep = np.abs(values) >= epsilon
             nodes, values = nodes[keep], values[keep]
         counts[offset] = len(nodes)
         col_parts.append(nodes)
         val_parts.append(values)
+    if stats is not None:
+        stats.pushes += pushes
     cols = (
         np.concatenate(col_parts)
         if col_parts
@@ -876,45 +752,6 @@ def repair_rows(
     return counts, cols, vals
 
 
-def _cold_rows(
-    kernel: PushKernel,
-    sources: np.ndarray,
-    damping: float,
-    push_epsilon: float,
-    epsilon: float,
-    stats: RepairStats | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`push_sources` with push-count accounting (repair path)."""
-    counts = np.zeros(sources.size, dtype=np.int64)
-    col_parts: list[np.ndarray] = []
-    val_parts: list[np.ndarray] = []
-    pushes = 0
-    for offset, source in enumerate(sources.tolist()):
-        nodes, values, push_stats = kernel.push(
-            int(source), damping, epsilon=push_epsilon
-        )
-        pushes += push_stats.pushes
-        if epsilon > 0:
-            keep = np.abs(values) >= epsilon
-            nodes, values = nodes[keep], values[keep]
-        counts[offset] = len(nodes)
-        col_parts.append(nodes)
-        val_parts.append(values)
-    if stats is not None:
-        stats.pushes += pushes
-    cols = (
-        np.concatenate(col_parts)
-        if col_parts
-        else np.zeros(0, dtype=np.int64)
-    )
-    vals = (
-        np.concatenate(val_parts)
-        if val_parts
-        else np.zeros(0, dtype=np.float64)
-    )
-    return counts, cols, vals
-
-
 def _as_dirty_array(dirty: "Sequence[int] | np.ndarray", n: int) -> np.ndarray:
     """Canonicalise a dirty-node collection: sorted unique int64 ids."""
     if isinstance(dirty, np.ndarray):
@@ -932,10 +769,7 @@ def _as_dirty_array(dirty: "Sequence[int] | np.ndarray", n: int) -> np.ndarray:
 
 
 def _chunk_sources_by_nnz(
-    indptr: np.ndarray,
-    sources: np.ndarray,
-    workers: int,
-    chunk_nnz: int | None = None,
+    indptr: np.ndarray, sources: np.ndarray, workers: int
 ) -> list[np.ndarray]:
     """Cut a source array into work units of roughly equal *push work*.
 
@@ -949,66 +783,17 @@ def _chunk_sources_by_nnz(
     # every row costs at least its own solve, even with no edges
     cum = np.cumsum(np.maximum(row_nnz, 1))
     total = int(cum[-1])
-    if chunk_nnz is None:
-        chunk_nnz = max(
-            total // max(workers * _CHUNKS_PER_WORKER, 1), _MIN_CHUNK_NNZ
-        )
-    chunk_nnz = max(int(chunk_nnz), 1)
+    chunk_nnz = max(total // (workers * _CHUNKS_PER_WORKER), _MIN_CHUNK_NNZ)
     targets = np.arange(chunk_nnz, total, chunk_nnz, dtype=np.int64)
     boundaries = np.unique(np.searchsorted(cum, targets, side="left") + 1)
     boundaries = boundaries[boundaries < sources.size]
     return [np.asarray(part) for part in np.split(sources, boundaries)]
 
 
-def _run_push_pool(
-    matrix: sparse.csr_matrix,
-    units: list[tuple[int, np.ndarray]],
-    workers: int,
-    damping: float,
-    push_epsilon: float,
-    epsilon: float,
-    recorder: Recorder = NULL_RECORDER,
-) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Execute push work units on a shared-memory process pool.
-
-    Returns ``unit_id → (counts, cols, vals)``.  The transition matrix
-    is published once via :class:`_SharedCSRPublisher`; unit payloads
-    are just source-id arrays, and only results travel back.
-    """
-    shared = _SharedCSRPublisher(matrix, recorder=recorder)
-    results: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_pool_initializer,
-            initargs=(shared.spec, damping, push_epsilon, epsilon),
-        ) as pool:
-            for unit_id, counts, cols, vals in pool.map(
-                _pool_push_unit, units
-            ):
-                results[unit_id] = (counts, cols, vals)
-    finally:
-        shared.close()
-    return results
-
-
 def _resolve_workers(num_workers: int | None) -> int:
     if num_workers is None or num_workers <= 0:
-        return os.cpu_count() or 1
+        return usable_cpu_count()
     return num_workers
-
-
-def _parallel_worth_it(n: int, nnz: int) -> bool:
-    """Whether a graph is big enough for the pool to pay for itself."""
-    return n >= PARALLEL_MIN_TASKS and nnz >= PARALLEL_MIN_NNZ
-
-
-def _record_parallel_fallback(recorder: Recorder) -> None:
-    recorder.counter(
-        "repro_ppr_parallel_fallback_total",
-        "Parallel basis requests routed to the serial kernel because "
-        "the input sat below the small-n threshold.",
-    ).inc()
 
 
 class PPRBasis:
@@ -1032,7 +817,7 @@ class PPRBasis:
 
     #: Graphs up to this many nodes use the batched dense iteration
     #: under ``method="auto"``; larger graphs use localized push
-    #: (sharded over a process pool when more than one worker resolves).
+    #: (split over a process pool when more than one worker resolves).
     AUTO_BATCH_LIMIT = 4096
 
     @classmethod
@@ -1045,7 +830,6 @@ class PPRBasis:
         tol: float = 1e-8,
         max_iter: int = 200,
         num_workers: int | None = None,
-        chunk_size: int | None = None,
         force_parallel: bool = False,
         recorder: Recorder = NULL_RECORDER,
     ) -> "PPRBasis":
@@ -1066,14 +850,12 @@ class PPRBasis:
             worker resolves); ``"batch"`` iterates Eq. (4) on all unit
             restarts at once (one dense n×n iteration); ``"push"`` runs
             the vectorised localized solver per row;
-            ``"parallel-push"`` shards the push rows over a process
+            ``"parallel-push"`` splits the push rows over a process
             pool (identical output to ``"push"``); ``"power"`` runs the
             dense iteration per row (slow; kept as the test reference).
         num_workers:
-            Process count for ``"parallel-push"`` (None/0 = cpu count).
-        chunk_size:
-            Sources per pool task (default: work units sized by the
-            transition-matrix nnz they cover, a few per worker).
+            Process count for ``"parallel-push"`` (None/0 = the cores
+            this process may run on, see :func:`usable_cpu_count`).
         force_parallel:
             ``"parallel-push"`` requests on inputs below
             :data:`PARALLEL_MIN_TASKS` / :data:`PARALLEL_MIN_NNZ` are
@@ -1102,7 +884,6 @@ class PPRBasis:
                 tol,
                 max_iter,
                 num_workers,
-                chunk_size,
                 force_parallel,
                 recorder,
             )
@@ -1122,7 +903,6 @@ class PPRBasis:
         tol: float,
         max_iter: int,
         num_workers: int | None,
-        chunk_size: int | None,
         force_parallel: bool,
         recorder: Recorder,
     ) -> "PPRBasis":
@@ -1142,23 +922,15 @@ class PPRBasis:
             # columns (restart e_i per column), and S' is symmetric so
             # the matrix is symmetric too — transpose for clarity.
             return cls(sparse.csr_matrix(basis.T))
-        if method == "push":
-            push_eps = basis_push_epsilon(epsilon)
-            kernel = PushKernel(normalized, recorder=recorder)
-            counts, cols, vals = push_sources(
-                kernel, range(n), damping, push_eps, epsilon
-            )
-            return cls(cls._assemble(n, counts, cols, vals))
-        if method == "parallel-push":
+        if method in ("push", "parallel-push"):
             return cls(
-                cls._compute_parallel(
+                cls._compute_push(
                     normalized,
                     damping,
                     epsilon,
-                    num_workers=num_workers,
-                    chunk_size=chunk_size,
-                    force_parallel=force_parallel,
-                    recorder=recorder,
+                    1 if method == "push" else num_workers,
+                    force_parallel,
+                    recorder,
                 )
             )
         if method == "power":
@@ -1186,67 +958,58 @@ class PPRBasis:
         raise ValueError(f"unknown basis method {method!r}")
 
     @staticmethod
-    def _assemble(
-        n: int, counts: np.ndarray, cols: np.ndarray, vals: np.ndarray
-    ) -> sparse.csr_matrix:
-        """CSR from per-row counts + packed columns/values (no COO
-        pass); see :func:`assemble_csr`."""
-        return assemble_csr(counts, cols, vals, (n, n))
-
-    @classmethod
-    def _compute_parallel(
-        cls,
+    def _compute_push(
         normalized: sparse.csr_matrix,
         damping: float,
         epsilon: float,
-        num_workers: int | None = None,
-        chunk_size: int | None = None,
-        force_parallel: bool = False,
-        recorder: Recorder = NULL_RECORDER,
+        num_workers: int | None,
+        force_parallel: bool,
+        recorder: Recorder,
     ) -> sparse.csr_matrix:
-        """Shard push sources over a shared-memory process pool.
+        """Push every source, split over a process pool when more than
+        one worker resolves.
 
         Output is bit-identical to serial ``"push"``: workers run the
-        same kernel on the same full matrix, sources are merely
-        partitioned, and assembly re-orders the packed results into
-        source order.  Small inputs (below :data:`PARALLEL_MIN_TASKS` /
-        :data:`PARALLEL_MIN_NNZ`) fall back to the serial kernel unless
-        ``force_parallel`` is set — pool start-up would dominate.
+        same kernel on the same full matrix, sources are merely cut
+        into contiguous nnz-balanced units, and ``map`` returns their
+        packed results in source order.  Small inputs (below
+        :data:`PARALLEL_MIN_TASKS` / :data:`PARALLEL_MIN_NNZ`) fall back
+        to the serial kernel unless ``force_parallel`` is set — pool
+        start-up would dominate.
         """
         n = normalized.shape[0]
         matrix = normalized.tocsr()
         workers = min(_resolve_workers(num_workers), max(1, n))
         push_eps = basis_push_epsilon(epsilon)
-        small = not _parallel_worth_it(n, matrix.nnz)
+        small = n < PARALLEL_MIN_TASKS or matrix.nnz < PARALLEL_MIN_NNZ
         if workers > 1 and small and not force_parallel:
-            _record_parallel_fallback(recorder)
+            recorder.counter(
+                "repro_ppr_parallel_fallback_total",
+                "Parallel basis requests routed to the serial kernel "
+                "because the input sat below the small-n threshold.",
+            ).inc()
             workers = 1
         if workers <= 1:
-            kernel = PushKernel(normalized, recorder=recorder)
+            kernel = PushKernel(matrix, recorder=recorder)
             counts, cols, vals = push_sources(
                 kernel, range(n), damping, push_eps, epsilon
             )
-            return cls._assemble(n, counts, cols, vals)
-        sources = np.arange(n, dtype=np.int64)
-        if chunk_size is not None:
-            # legacy row-count chunking, kept for explicit callers
-            parts = [
-                sources[start : start + chunk_size]
-                for start in range(0, n, max(1, chunk_size))
-            ]
-        else:
-            parts = _chunk_sources_by_nnz(matrix.indptr, sources, workers)
-        units = list(enumerate(parts))
-        results = _run_push_pool(
-            matrix, units, workers, damping, push_eps, epsilon,
-            recorder=recorder,
+            return assemble_csr(counts, cols, vals, (n, n))
+        units = _chunk_sources_by_nnz(
+            matrix.indptr, np.arange(n, dtype=np.int64), workers
         )
-        all_counts = np.concatenate(
-            [results[uid][0] for uid, _ in units]
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_pool_initializer,
+            initargs=(matrix, damping, push_eps, epsilon),
+        ) as pool:
+            packed = list(pool.map(_pool_push_unit, units))
+        return assemble_csr(
+            np.concatenate([part[0] for part in packed]),
+            np.concatenate([part[1] for part in packed]),
+            np.concatenate([part[2] for part in packed]),
+            (n, n),
         )
-        cols = np.concatenate([results[uid][1] for uid, _ in units])
-        vals = np.concatenate([results[uid][2] for uid, _ in units])
-        return cls._assemble(n, all_counts, cols, vals)
 
     @property
     def num_tasks(self) -> int:
@@ -1383,7 +1146,7 @@ class PPRBasis:
                 damping, push_eps, epsilon, stats,
             )
             new_sources = np.arange(n_old, n_new, dtype=np.int64)
-            n_counts, n_cols, n_vals = _cold_rows(
+            n_counts, n_cols, n_vals = push_sources(
                 kernel, new_sources, damping, push_eps, epsilon, stats
             )
             # stitch: reused rows keep their slices of the old arrays
@@ -1435,457 +1198,3 @@ class PPRBasis:
         ).inc(n_old - int(dirty_sources.size))
         return PPRBasis(repaired)
 
-
-class ShardedBasis:
-    """PPR basis stored as per-shard CSR row blocks.
-
-    Each shard of a :class:`~repro.core.indexes.ShardIndex` owns one
-    CSR block of shape ``(shard_size, n)`` — the basis rows of that
-    shard's tasks, in shard-task order, with **global** column ids.
-    Pushes always run on the *full* transition matrix (never a shard
-    submatrix), so every stored row is bit-identical to the row the
-    serial ``"push"`` path produces: shards only decide which process
-    solves which sources and how results are blocked, never the
-    arithmetic.
-
-    Online reads (:meth:`row`, the dict path of :meth:`combine`) route
-    through the index and touch only the owning shard's block, keeping
-    the working set per query at one block instead of the whole basis.
-    """
-
-    def __init__(
-        self, index: "ShardIndex", blocks: Sequence[sparse.csr_matrix]
-    ) -> None:
-        if len(blocks) != index.num_shards:
-            raise ValueError(
-                f"expected {index.num_shards} blocks, got {len(blocks)}"
-            )
-        n = index.num_tasks
-        for shard_id, block in enumerate(blocks):
-            expected = (len(index.shard_tasks(shard_id)), n)
-            if block.shape != expected:
-                raise ValueError(
-                    f"shard {shard_id} block has shape {block.shape}, "
-                    f"expected {expected}"
-                )
-        self._index = index
-        self._blocks: list[sparse.csr_matrix] = [
-            block.tocsr() for block in blocks
-        ]
-        self._global: sparse.csr_matrix | None = None
-
-    @classmethod
-    def compute(
-        cls,
-        normalized: sparse.csr_matrix,
-        index: "ShardIndex",
-        damping: float,
-        epsilon: float = 1e-6,
-        num_workers: int | None = None,
-        chunk_nnz: int | None = None,
-        force_parallel: bool = False,
-        recorder: Recorder = NULL_RECORDER,
-    ) -> "ShardedBasis":
-        """Compute the basis sharded by ``index``.
-
-        With more than one resolved worker (and an input above the
-        small-n thresholds, or ``force_parallel``), each shard's source
-        set is cut into nnz-sized work units and solved on the
-        shared-memory pool; blocks are then assembled per shard with
-        only intra-shard concatenation.  Otherwise a single kernel
-        solves every shard in turn (same output, no pool).
-        """
-        n = normalized.shape[0]
-        if index.num_tasks != n:
-            raise ValueError(
-                f"index covers {index.num_tasks} tasks, matrix has {n}"
-            )
-        matrix = normalized.tocsr()
-        workers = min(_resolve_workers(num_workers), max(1, n))
-        push_eps = basis_push_epsilon(epsilon)
-        small = not _parallel_worth_it(n, matrix.nnz)
-        if workers > 1 and small and not force_parallel:
-            _record_parallel_fallback(recorder)
-            workers = 1
-        with recorder.span(
-            "ppr.sharded_basis", shards=index.num_shards, rows=n
-        ):
-            if workers <= 1:
-                kernel = PushKernel(matrix, recorder=recorder)
-                blocks = [
-                    assemble_csr(
-                        *push_sources(
-                            kernel,
-                            index.shard_tasks(shard_id),
-                            damping,
-                            push_eps,
-                            epsilon,
-                        ),
-                        shape=(len(index.shard_tasks(shard_id)), n),
-                    )
-                    for shard_id in range(index.num_shards)
-                ]
-            else:
-                blocks = cls._compute_blocks_parallel(
-                    matrix, index, workers, damping, push_eps, epsilon,
-                    chunk_nnz, recorder=recorder,
-                )
-        recorder.counter(
-            "repro_ppr_basis_rows_total",
-            "Offline PPR basis rows computed (one per task).",
-        ).inc(n)
-        return cls(index, blocks)
-
-    @staticmethod
-    def _compute_blocks_parallel(
-        matrix: sparse.csr_matrix,
-        index: "ShardIndex",
-        workers: int,
-        damping: float,
-        push_eps: float,
-        epsilon: float,
-        chunk_nnz: int | None,
-        recorder: Recorder = NULL_RECORDER,
-    ) -> list[sparse.csr_matrix]:
-        """One pool run over every shard's nnz-sized work units."""
-        n = matrix.shape[0]
-        units: list[tuple[int, np.ndarray]] = []
-        shard_units: list[list[int]] = []
-        for shard_id in range(index.num_shards):
-            parts = _chunk_sources_by_nnz(
-                matrix.indptr,
-                index.shard_tasks(shard_id),
-                workers,
-                chunk_nnz,
-            )
-            base = len(units)
-            shard_units.append(list(range(base, base + len(parts))))
-            units.extend(
-                (base + offset, part)
-                for offset, part in enumerate(parts)
-            )
-        results = _run_push_pool(
-            matrix, units, workers, damping, push_eps, epsilon,
-            recorder=recorder,
-        )
-        blocks: list[sparse.csr_matrix] = []
-        for shard_id, unit_ids in enumerate(shard_units):
-            shard_size = len(index.shard_tasks(shard_id))
-            if not unit_ids:
-                blocks.append(
-                    sparse.csr_matrix((shard_size, n), dtype=np.float64)
-                )
-                continue
-            counts = np.concatenate(
-                [results[uid][0] for uid in unit_ids]
-            )
-            cols = np.concatenate([results[uid][1] for uid in unit_ids])
-            vals = np.concatenate([results[uid][2] for uid in unit_ids])
-            blocks.append(
-                assemble_csr(counts, cols, vals, (shard_size, n))
-            )
-        return blocks
-
-    @classmethod
-    def from_global(
-        cls,
-        basis: "PPRBasis | sparse.csr_matrix",
-        index: "ShardIndex",
-    ) -> "ShardedBasis":
-        """Re-block a whole-graph basis (e.g. loaded from the on-disk
-        cache) into per-shard row blocks without recomputation."""
-        matrix = basis.matrix if isinstance(basis, PPRBasis) else basis
-        matrix = matrix.tocsr()
-        if matrix.shape[0] != index.num_tasks:
-            raise ValueError(
-                f"basis has {matrix.shape[0]} rows, "
-                f"index covers {index.num_tasks} tasks"
-            )
-        blocks = [
-            matrix[index.shard_tasks(shard_id), :].tocsr()
-            for shard_id in range(index.num_shards)
-        ]
-        return cls(index, blocks)
-
-    def to_global(self) -> sparse.csr_matrix:
-        """Whole-graph CSR basis (row ``i`` = ``p_{t_i}``), assembled
-        once and cached; bit-identical to the serial path's matrix.
-
-        Used for exact on-disk serialisation and identity checks — the
-        online paths never need it.
-        """
-        if self._global is not None:
-            return self._global
-        n = self.num_tasks
-        counts = np.zeros(n, dtype=np.int64)
-        for shard_id, block in enumerate(self._blocks):
-            tasks = self._index.shard_tasks(shard_id)
-            counts[tasks] = np.diff(block.indptr)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        total = int(indptr[-1])
-        cols = np.empty(total, dtype=np.int64)
-        vals = np.empty(total, dtype=np.float64)
-        for shard_id, block in enumerate(self._blocks):
-            if block.nnz == 0:
-                continue
-            tasks = self._index.shard_tasks(shard_id)
-            lengths = np.diff(block.indptr).astype(np.int64)
-            # per-entry destination: global row start + offset in row
-            offsets = np.arange(block.nnz, dtype=np.int64) - np.repeat(
-                block.indptr[:-1].astype(np.int64), lengths
-            )
-            dest = np.repeat(indptr[tasks], lengths) + offsets
-            cols[dest] = block.indices
-            vals[dest] = block.data
-        self._global = sparse.csr_matrix(
-            (vals, cols, indptr), shape=(n, n)
-        )
-        return self._global
-
-    # ------------------------------------------------------------------
-    # PPRBasis-compatible surface (duck-typed by estimator/qualification)
-    # ------------------------------------------------------------------
-    @property
-    def index(self) -> "ShardIndex":
-        return self._index
-
-    @property
-    def num_tasks(self) -> int:
-        return self._index.num_tasks
-
-    @property
-    def num_shards(self) -> int:
-        return self._index.num_shards
-
-    @property
-    def nnz(self) -> int:
-        return sum(block.nnz for block in self._blocks)
-
-    @property
-    def matrix(self) -> sparse.csr_matrix:
-        """Whole-graph view (for the on-disk cache); see
-        :meth:`to_global`."""
-        return self.to_global()
-
-    def block(self, shard_id: int) -> sparse.csr_matrix:
-        """Shard ``shard_id``'s row block ``(shard_size, n)``, rows in
-        ``index.shard_tasks(shard_id)`` order, global columns."""
-        return self._blocks[shard_id]
-
-    def block_nnz(self) -> list[int]:
-        """Stored non-zeros per shard (perf/memory diagnostics)."""
-        return [int(block.nnz) for block in self._blocks]
-
-    def _row_slice(self, task_id: int) -> tuple[np.ndarray, np.ndarray]:
-        shard_id, local = self._index.locate(task_id)
-        block = self._blocks[shard_id]
-        start, end = block.indptr[local], block.indptr[local + 1]
-        return block.indices[start:end], block.data[start:end]
-
-    def row(self, task_id: int) -> np.ndarray:
-        """Dense basis vector ``p_{t_i}`` (reads one shard block)."""
-        out = np.zeros(self.num_tasks)
-        cols, vals = self._row_slice(task_id)
-        out[cols] = vals
-        return out
-
-    def combine(self, q: np.ndarray | dict[int, float]) -> np.ndarray:
-        """Online estimation ``p* = Σ q_i · p_{t_i}`` (Lemma 3).
-
-        The dict path accumulates rows in key order exactly like
-        :meth:`PPRBasis.combine` — identical float additions, so
-        estimates match the unsharded basis bit for bit.  The dense
-        path evaluates per shard and sums the partials.
-        """
-        n = self.num_tasks
-        if isinstance(q, dict):
-            out = np.zeros(n)
-            for task_id, weight in q.items():
-                # repro-lint: disable=RL004 -- exact-zero skip, not a tolerance
-                if weight == 0.0:
-                    continue
-                cols, vals = self._row_slice(task_id)
-                out[cols] += weight * vals
-            return out
-        q = np.asarray(q, dtype=np.float64)
-        if q.shape != (n,):
-            raise ValueError(f"q has shape {q.shape}, expected ({n},)")
-        out = np.zeros(n)
-        for shard_id, block in enumerate(self._blocks):
-            tasks = self._index.shard_tasks(shard_id)
-            out += np.asarray(q[tasks] @ block).ravel()
-        return out
-
-    def _rows_block(
-        self, task_ids: np.ndarray, width: int
-    ) -> sparse.csr_matrix:
-        """CSR block of the given basis rows (gathered across shards),
-        padded to ``width`` columns."""
-        counts = np.zeros(task_ids.size, dtype=np.int64)
-        col_parts: list[np.ndarray] = []
-        val_parts: list[np.ndarray] = []
-        for offset, task_id in enumerate(task_ids.tolist()):
-            cols, vals = self._row_slice(int(task_id))
-            counts[offset] = len(cols)
-            col_parts.append(cols)
-            val_parts.append(vals)
-        return assemble_csr(
-            counts,
-            np.concatenate(col_parts)
-            if col_parts
-            else np.zeros(0, dtype=np.int64),
-            np.concatenate(val_parts)
-            if val_parts
-            else np.zeros(0, dtype=np.float64),
-            shape=(task_ids.size, width),
-        )
-
-    def repair(
-        self,
-        normalized: sparse.csr_matrix,
-        dirty: "Sequence[int] | np.ndarray",
-        index: "ShardIndex",
-        damping: float,
-        epsilon: float = 1e-6,
-        stats: RepairStats | None = None,
-        recorder: Recorder = NULL_RECORDER,
-    ) -> "ShardedBasis":
-        """Incrementally repair this sharded basis against a changed
-        matrix, re-blocked by the **new** ``index``.
-
-        Same contract as :meth:`PPRBasis.repair` — pushes run on the
-        full matrix, so rows are partition-independent and the new
-        index may split tasks arbitrarily.  A change confined to one
-        shard repairs only that shard: new-index shards holding no
-        dirty/new task whose membership matches an old shard exactly
-        reuse that shard's CSR block zero-copy (only the column count
-        widens); everything else is assembled by gathering rows from
-        the repair/cold solutions or the old blocks.
-        """
-        matrix = normalized.tocsr()
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("normalized matrix must be square")
-        n_new = matrix.shape[0]
-        n_old = self.num_tasks
-        if n_new < n_old:
-            raise ValueError(
-                f"repair cannot shrink the task set ({n_old} -> {n_new})"
-            )
-        if index.num_tasks != n_new:
-            raise ValueError(
-                f"index covers {index.num_tasks} tasks, matrix has {n_new}"
-            )
-        dirty_arr = _as_dirty_array(dirty, n_new)
-        dirty_cols = dirty_arr[dirty_arr < n_old]
-        source_parts = [dirty_cols]
-        for shard_id, block in enumerate(self._blocks):
-            local = _rows_touching(
-                block.indptr, block.indices, dirty_cols
-            )
-            if local.size:
-                source_parts.append(
-                    self._index.shard_tasks(shard_id)[local]
-                )
-        dirty_sources = np.unique(
-            np.concatenate(source_parts).astype(np.int64)
-        )
-        push_eps = basis_push_epsilon(epsilon)
-        with recorder.span(
-            "ppr.sharded_repair",
-            rows=n_new,
-            dirty=int(dirty_sources.size),
-            new=n_new - n_old,
-            shards=index.num_shards,
-        ):
-            kernel = PushKernel(matrix, recorder=recorder)
-            d_counts, d_cols, d_vals = repair_rows(
-                kernel, matrix, dirty_sources,
-                self._rows_block(dirty_sources, n_new),
-                damping, push_eps, epsilon, stats,
-            )
-            new_sources = np.arange(n_old, n_new, dtype=np.int64)
-            n_counts, n_cols, n_vals = _cold_rows(
-                kernel, new_sources, damping, push_eps, epsilon, stats
-            )
-            solved: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-            d_indptr = np.zeros(dirty_sources.size + 1, dtype=np.int64)
-            np.cumsum(d_counts, out=d_indptr[1:])
-            for offset, source in enumerate(dirty_sources.tolist()):
-                start, end = d_indptr[offset], d_indptr[offset + 1]
-                solved[int(source)] = (
-                    d_cols[start:end], d_vals[start:end]
-                )
-            n_indptr = np.zeros(new_sources.size + 1, dtype=np.int64)
-            np.cumsum(n_counts, out=n_indptr[1:])
-            for offset, source in enumerate(new_sources.tolist()):
-                start, end = n_indptr[offset], n_indptr[offset + 1]
-                solved[int(source)] = (
-                    n_cols[start:end], n_vals[start:end]
-                )
-            dirty_mask = np.zeros(n_new, dtype=bool)
-            dirty_mask[dirty_sources] = True
-            dirty_mask[n_old:] = True
-            # old shard lookup (by leading task id) for block reuse
-            old_by_first: dict[int, int] = {}
-            for shard_id in range(self._index.num_shards):
-                tasks = self._index.shard_tasks(shard_id)
-                if tasks.size:
-                    old_by_first[int(tasks[0])] = shard_id
-            blocks: list[sparse.csr_matrix] = []
-            for shard_id in range(index.num_shards):
-                tasks = index.shard_tasks(shard_id)
-                if tasks.size and not dirty_mask[tasks].any():
-                    old_id = old_by_first.get(int(tasks[0]))
-                    if old_id is not None and np.array_equal(
-                        self._index.shard_tasks(old_id), tasks
-                    ):
-                        old_block = self._blocks[old_id]
-                        blocks.append(
-                            sparse.csr_matrix(
-                                (
-                                    old_block.data,
-                                    old_block.indices,
-                                    old_block.indptr,
-                                ),
-                                shape=(old_block.shape[0], n_new),
-                            )
-                        )
-                        continue
-                counts = np.zeros(tasks.size, dtype=np.int64)
-                col_parts: list[np.ndarray] = []
-                val_parts: list[np.ndarray] = []
-                for offset, task_id in enumerate(tasks.tolist()):
-                    entry = solved.get(int(task_id))
-                    if entry is None:
-                        cols, vals = self._row_slice(int(task_id))
-                    else:
-                        cols, vals = entry
-                    counts[offset] = len(cols)
-                    col_parts.append(cols)
-                    val_parts.append(vals)
-                blocks.append(
-                    assemble_csr(
-                        counts,
-                        np.concatenate(col_parts)
-                        if col_parts
-                        else np.zeros(0, dtype=np.int64),
-                        np.concatenate(val_parts)
-                        if val_parts
-                        else np.zeros(0, dtype=np.float64),
-                        shape=(tasks.size, n_new),
-                    )
-                )
-        if stats is not None:
-            stats.repaired_rows += int(dirty_sources.size)
-            stats.new_rows += n_new - n_old
-            stats.reused_rows += n_old - int(dirty_sources.size)
-        recorder.counter(
-            "repro_ppr_repair_rows_total",
-            "Basis rows re-pushed or solved cold by incremental repair.",
-        ).inc(int(dirty_sources.size) + (n_new - n_old))
-        recorder.counter(
-            "repro_ppr_repair_reused_rows_total",
-            "Basis rows carried over untouched by incremental repair.",
-        ).inc(n_old - int(dirty_sources.size))
-        return ShardedBasis(index, blocks)

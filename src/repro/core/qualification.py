@@ -23,13 +23,11 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.ppr import PPRBasis, ShardedBasis
+from repro.core.ppr import PPRBasis
 from repro.core.types import Label, TaskId, WorkerId
 
 
-def influence(
-    basis: PPRBasis | ShardedBasis, tasks: Sequence[TaskId]
-) -> int:
+def influence(basis: PPRBasis, tasks: Sequence[TaskId]) -> int:
     """``INF(T^q)``: non-zero entries of the summed basis vectors."""
     if not tasks:
         return 0
@@ -40,7 +38,7 @@ def influence(
 
 
 def select_qualification_tasks(
-    basis: PPRBasis | ShardedBasis,
+    basis: PPRBasis,
     budget: int,
     candidates: Sequence[TaskId] | None = None,
 ) -> list[TaskId]:

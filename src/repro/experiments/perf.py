@@ -6,31 +6,28 @@ Times the three layers of the fast offline phase on *this* machine:
    against the dict-and-deque :func:`repro.core.ppr.forward_push_reference`
    on a large bounded-degree graph (per-source wall clock).
 2. **Basis** — full offline basis construction, serial ``push`` vs
-   shared-memory ``parallel-push`` (identical outputs, different wall
+   process-pool ``parallel-push`` (identical outputs, different wall
    clock; parallel only wins with real cores).
-3. **Sharded** — the sharded offline phase: partition cost, per-shard
-   solve times, pool speedup and block-merge cost, with the merged
-   basis checked bit-identical to serial.
-4. **Cache** — cold estimator start (compute + save) vs warm start
+3. **Cache** — cold estimator start (compute + save) vs warm start
    (load from the on-disk basis cache), bit-identity verified.
-5. **Incremental** — the insertion-round protocol (Section 6.5): a
+4. **Incremental** — the insertion-round protocol (Section 6.5): a
    clustered graph grows by one task batch per round, and per-round
    basis *repair* (:meth:`repro.core.ppr.PPRBasis.repair`, seeded by
    the :class:`~repro.core.streaming.GrowableGraph` change journal) is
    timed against a full rebuild, with the repaired basis checked
    within ``epsilon`` of the rebuild.  Both sides run serial, so this
    section is honest on any core count (no ``skipped_single_core``).
-6. **Sanitizer** — the lockset race sanitizer's instrumentation tax:
+5. **Sanitizer** — the lockset race sanitizer's instrumentation tax:
    a threaded lease-ledger hammer timed clean vs under
    :func:`repro.analysis.sanitizer.sanitized`, asserting zero races
    either way.  The sanitizer is strictly opt-in, so this tax is paid
    only under ``lint --race``; the section documents its bound.
 
-CPU counting is honest: :func:`usable_cpu_count` reports the cores this
-process may actually run on (``os.sched_getaffinity``), and on a
-single-usable-core box the parallel and sharded timing sections are
-marked ``"skipped_single_core"`` instead of recording a meaningless
-1.00× "speedup".
+CPU counting is honest: :func:`repro.core.ppr.usable_cpu_count` reports
+the cores this process may actually run on (``os.sched_getaffinity``),
+the same count that sizes the basis pool, and on a single-usable-core
+box the parallel timing section is marked ``"skipped_single_core"``
+instead of recording a meaningless 1.00× "speedup".
 
 ``benchmarks/test_perf_offline.py`` runs this and records the table to
 ``benchmarks/results/perf_offline.txt`` plus machine-readable numbers
@@ -41,7 +38,6 @@ reproduces it from the command line.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import tempfile
 import threading
@@ -57,31 +53,15 @@ from repro.core.ppr import (
     PPRBasis,
     PushKernel,
     RepairStats,
-    ShardedBasis,
-    assemble_csr,
     basis_push_epsilon,
     forward_push_reference,
-    push_sources,
+    usable_cpu_count,
 )
 from repro.core.streaming import GrowableGraph
 from repro.experiments.figures import random_normalized_graph
 from repro.obs.profiling import profile_call
 from repro.obs.tracing import Stopwatch
 from repro.utils.rng import spawn_rng
-
-
-def usable_cpu_count() -> int:
-    """Cores this process may actually run on.
-
-    ``os.cpu_count()`` reports the machine; CI runners and container
-    limits often pin the process to fewer cores, and a pool sized to
-    phantom cores just adds IPC overhead.  Affinity is the honest
-    number where the platform exposes it.
-    """
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    if getaffinity is not None:
-        return len(getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def random_similarity_graph(
@@ -140,7 +120,6 @@ class PerfOfflineResult:
     cpu_count: int
     kernel: dict = field(default_factory=dict)
     basis: dict = field(default_factory=dict)
-    sharded: dict = field(default_factory=dict)
     cache: dict = field(default_factory=dict)
     incremental: dict = field(default_factory=dict)
     #: race-sanitizer instrumentation tax on a threaded ledger hammer
@@ -151,7 +130,7 @@ class PerfOfflineResult:
 
     def format_table(self) -> str:
         """Render the timing sections as an aligned text table."""
-        k, b, s, c = self.kernel, self.basis, self.sharded, self.cache
+        k, b, c = self.kernel, self.basis, self.cache
         lines = [
             f"Offline-phase performance "
             f"({self.cpu_count} usable CPU core(s))",
@@ -182,33 +161,6 @@ class PerfOfflineResult:
                 f"speedup {b['speedup']:.2f}x "
                 f"(expect > 1 only with >= 4 real cores)",
             ]
-        if s:
-            shard_times = ", ".join(
-                f"{t:.3f}" for t in s["shard_seconds"]
-            )
-            lines += [
-                "",
-                f"[sharded] {s['num_tasks']:,} tasks in "
-                f"{s['num_shards']} shard(s) (cap {s['shard_size']}, "
-                f"{s['cut_edges']} cut edge(s), "
-                f"{s['split_components']} split component(s))",
-                f"{'partition':<22}{s['partition_seconds']:<18.3f}",
-                f"{'serial (whole graph)':<22}{s['serial_seconds']:<18.3f}",
-                f"per-shard serial solve (s): [{shard_times}]",
-                f"{'block merge':<22}{s['merge_seconds']:<18.3f}",
-            ]
-            if s["status"] == "skipped_single_core":
-                lines.append(
-                    "sharded pool: skipped_single_core (1 usable core); "
-                    f"merged basis identical to serial: {s['identical']}"
-                )
-            else:
-                lines += [
-                    f"{'sharded pool (' + str(s['parallel_workers']) + 'w)':<22}"
-                    f"{s['parallel_seconds']:<18.3f}",
-                    f"merged basis identical to serial: {s['identical']}; "
-                    f"speedup {s['speedup']:.2f}x",
-                ]
         lines += [
             "",
             f"[cache] estimator start, {c['num_tasks']:,} tasks "
@@ -275,7 +227,6 @@ class PerfOfflineResult:
             "cpu_count": self.cpu_count,
             "kernel": self.kernel,
             "basis": self.basis,
-            "sharded": self.sharded,
             "cache": self.cache,
             "incremental": self.incremental,
             "sanitizer": self.sanitizer,
@@ -297,100 +248,6 @@ def _bases_identical(a: PPRBasis, b: PPRBasis) -> bool:
         and np.array_equal(am.indices, bm.indices)
         and np.array_equal(am.data, bm.data)
     )
-
-
-def _measure_sharded(
-    graph: SimilarityGraph,
-    basis_epsilon: float,
-    workers: int,
-    multicore: bool,
-    shard_size: int | None,
-) -> dict:
-    """Time the sharded offline phase on ``graph``.
-
-    Records partition cost and diagnostics, per-shard serial solve
-    times (measured here, in the experiments layer — RL002 keeps wall
-    clocks out of core), block-merge cost, bit-identity of the merged
-    basis against the serial whole-graph push, and — only on a
-    multicore box — the sharded pool timing and speedup.
-    """
-    n = graph.num_tasks
-    cap = shard_size or max(256, n // (max(workers, 2) * 2))
-    with Stopwatch() as sw:
-        sharded_graph = graph.partition(max_shard_tasks=cap)
-    partition_seconds = sw.elapsed
-    index = sharded_graph.index
-    normalized = graph.normalized
-
-    with Stopwatch() as sw:
-        serial = PPRBasis.compute(
-            normalized, damping=0.5, epsilon=basis_epsilon, method="push"
-        )
-    serial_seconds = sw.elapsed
-
-    # per-shard serial solve: one kernel, each shard's sources pushed
-    # against the FULL matrix (the identity-preserving design)
-    push_eps = basis_push_epsilon(basis_epsilon)
-    kernel = PushKernel(normalized)
-    shard_seconds: list[float] = []
-    blocks = []
-    for shard_id in range(index.num_shards):
-        tasks = index.shard_tasks(shard_id)
-        with Stopwatch() as sw:
-            counts, cols, vals = push_sources(
-                kernel, tasks, 0.5, push_eps, basis_epsilon
-            )
-            block = assemble_csr(counts, cols, vals, (tasks.size, n))
-        shard_seconds.append(sw.elapsed)
-        blocks.append(block)
-    basis = ShardedBasis(index, blocks)
-    with Stopwatch() as sw:
-        merged = basis.to_global()
-    merge_seconds = sw.elapsed
-
-    identical = (
-        np.array_equal(serial.matrix.indptr, merged.indptr)
-        and np.array_equal(serial.matrix.indices, merged.indices)
-        and np.array_equal(serial.matrix.data, merged.data)
-    )
-    section = {
-        "num_tasks": n,
-        "shard_size": cap,
-        "num_shards": index.num_shards,
-        "cut_edges": sharded_graph.cut_edges,
-        "split_components": sharded_graph.split_components,
-        "partition_seconds": partition_seconds,
-        "serial_seconds": serial_seconds,
-        "shard_seconds": shard_seconds,
-        "merge_seconds": merge_seconds,
-        "identical": identical,
-    }
-    if not multicore:
-        section["status"] = "skipped_single_core"
-        return section
-    with Stopwatch() as sw:
-        pooled = ShardedBasis.compute(
-            normalized,
-            index,
-            damping=0.5,
-            epsilon=basis_epsilon,
-            num_workers=workers,
-            force_parallel=True,
-        )
-    parallel_seconds = sw.elapsed
-    pooled_global = pooled.to_global()
-    section.update(
-        {
-            "status": "ok",
-            "parallel_workers": workers,
-            "parallel_seconds": parallel_seconds,
-            "speedup": serial_seconds / max(parallel_seconds, 1e-12),
-            "identical": section["identical"]
-            and np.array_equal(pooled_global.data, merged.data)
-            and np.array_equal(pooled_global.indices, merged.indices),
-        }
-    )
-    return section
 
 
 def _measure_incremental(
@@ -552,8 +409,6 @@ def perf_offline(
     num_workers: int | None = None,
     cache_dir: str | pathlib.Path | None = None,
     seed: int = 7,
-    sharded: bool = True,
-    shard_size: int | None = None,
     incremental: bool = True,
     stream_tasks: int = 5_000,
     stream_batch: int = 100,
@@ -563,15 +418,12 @@ def perf_offline(
     sanitizer: bool = True,
     profile_path: str | pathlib.Path | None = None,
 ) -> PerfOfflineResult:
-    """Measure kernel / basis / sharded / cache / incremental timings.
+    """Measure kernel / basis / cache / incremental timings.
 
-    ``num_workers`` sets the pool size for the parallel measurements
+    ``num_workers`` sets the pool size for the parallel measurement
     (default: the *usable* cpu count, capped at 8).  On a box with a
-    single usable core the parallel and sharded-pool timings are
-    skipped and marked ``"skipped_single_core"`` — an honest result
-    beats a fake 1.00x.  ``sharded=False`` drops the sharded section
-    (used by the fast CI smoke); ``shard_size`` caps shard sizes
-    (default ``max(256, basis_tasks // (workers * 2))``).
+    single usable core the parallel timing is skipped and marked
+    ``"skipped_single_core"`` — an honest result beats a fake 1.00x.
     ``cache_dir`` defaults to a throwaway temp directory.
 
     ``incremental=False`` drops the insertion-round section; the
@@ -604,8 +456,6 @@ def perf_offline(
                 num_workers=num_workers,
                 cache_dir=cache_dir,
                 seed=seed,
-                sharded=sharded,
-                shard_size=shard_size,
                 incremental=incremental,
                 stream_tasks=stream_tasks,
                 stream_batch=stream_batch,
@@ -685,16 +535,7 @@ def perf_offline(
     else:
         result.basis["status"] = "skipped_single_core"
 
-    # ---- layer 3: the sharded offline phase ---------------------------
-    if sharded:
-        shard_graph = random_similarity_graph(
-            basis_tasks, basis_neighbors, seed
-        )
-        result.sharded = _measure_sharded(
-            shard_graph, basis_epsilon, workers, multicore, shard_size
-        )
-
-    # ---- layer 4: cold vs warm (cached) estimator start ---------------
+    # ---- layer 3: cold vs warm (cached) estimator start ---------------
     graph = random_similarity_graph(cache_tasks, cache_neighbors, seed)
     with tempfile.TemporaryDirectory() as tmp:
         directory = pathlib.Path(cache_dir) if cache_dir else pathlib.Path(tmp)
@@ -717,7 +558,7 @@ def perf_offline(
             "bit_identical": _bases_identical(cold.basis, warm.basis),
         }
 
-    # ---- layer 5: incremental repair vs rebuild -----------------------
+    # ---- layer 4: incremental repair vs rebuild -----------------------
     if incremental:
         result.incremental = _measure_incremental(
             stream_tasks,
@@ -729,7 +570,7 @@ def perf_offline(
             seed,
         )
 
-    # ---- layer 6: race-sanitizer instrumentation tax ------------------
+    # ---- layer 5: race-sanitizer instrumentation tax ------------------
     if sanitizer:
         result.sanitizer = _measure_sanitizer()
     return result

@@ -142,6 +142,29 @@ class TestAssignmentFlow:
         # the duplicate left the vote state untouched
         assert framework.votes()[5].answers == votes_before
 
+    def test_late_vote_after_test_release_is_duplicate(
+        self, framework, paper_tasks
+    ):
+        """A vote held past its lease expiry, arriving after the same
+        worker answered the re-leased task as a performance test, must
+        not count (the platform raises on an accepted duplicate)."""
+        from repro.core.types import AnswerOutcome
+
+        assignment = finish_warmup(framework, paper_tasks, "w1")
+        assert assignment is not None and not assignment.is_test
+        task_id = assignment.task_id
+        # the vote lease expires: the slot is released
+        assert framework.release_assignment("w1", task_id)
+        # the task is leased again to w1 as a test, and answered
+        assert framework.on_answer(
+            "w1", task_id, Label.YES, is_test=True
+        ).accepted
+        votes_before = list(framework.votes()[task_id].answers)
+        # the held vote arrives last
+        outcome = framework.on_answer("w1", task_id, Label.NO)
+        assert outcome is AnswerOutcome.DUPLICATE
+        assert framework.votes()[task_id].answers == votes_before
+
     def test_predictions_cover_all_tasks(self, framework, paper_tasks):
         predictions = framework.predictions()
         assert set(predictions) == set(paper_tasks.ids())

@@ -1,17 +1,21 @@
 """Differential tests for the vectorised push kernel and parallel basis.
 
 The fast offline phase rewrites forward push on flat numpy buffers
-(:class:`PushKernel`), shards basis rows over a process pool
+(:class:`PushKernel`), splits basis rows over a process pool
 (``method="parallel-push"``) and keeps the original dict-and-deque
 implementation as :func:`forward_push_reference`.  These tests pin the
 fast paths to the reference and to the exact solver.
 """
 
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from repro.core import ppr
 from repro.core.ppr import (
     ConvergenceWarning,
     PPRBasis,
@@ -130,18 +134,52 @@ class TestPushStats:
             forward_push(paper_graph.normalized, 0, damping=0.5)
 
 
+SPAWN_POOL_SCRIPT = """
+import multiprocessing
+import sys
+
+import numpy as np
+
+from repro.core import ppr
+from repro.experiments.figures import random_normalized_graph
+
+multiprocessing.set_start_method("spawn")
+ppr._MIN_CHUNK_NNZ = 100
+normalized = random_normalized_graph(200, 5, 11)
+serial = ppr.PPRBasis.compute(
+    normalized, damping=0.5, epsilon=1e-6, method="push"
+)
+parallel = ppr.PPRBasis.compute(
+    normalized, damping=0.5, epsilon=1e-6,
+    method="parallel-push", num_workers=2, force_parallel=True,
+)
+same = all(
+    np.array_equal(getattr(serial.matrix, part), getattr(parallel.matrix, part))
+    for part in ("indptr", "indices", "data")
+)
+sys.exit(0 if same else 1)
+"""
+
+
 class TestParallelBasis:
-    def test_parallel_identical_to_serial(self):
-        # force_parallel: 200 tasks sit below the small-n fallback
-        # threshold, and this test must keep exercising the real pool
+    def test_parallel_identical_to_serial(self, monkeypatch):
+        """The pool matches serial push bit for bit across several
+        nnz-sized work units (force_parallel: 200 tasks sit below the
+        small-n fallback threshold)."""
+        # ~2k nnz make one unit at the production minimum; lower it so
+        # the sources really are split over several units
+        monkeypatch.setattr(ppr, "_MIN_CHUNK_NNZ", 100)
         normalized = random_normalized_graph(200, 5, 11)
+        units = ppr._chunk_sources_by_nnz(
+            normalized.indptr, np.arange(200), workers=2
+        )
+        assert len(units) > 2
         serial = PPRBasis.compute(
             normalized, damping=0.5, epsilon=1e-6, method="push"
         )
         parallel = PPRBasis.compute(
             normalized, damping=0.5, epsilon=1e-6,
-            method="parallel-push", num_workers=2, chunk_size=37,
-            force_parallel=True,
+            method="parallel-push", num_workers=2, force_parallel=True,
         )
         assert np.array_equal(serial.matrix.indptr, parallel.matrix.indptr)
         assert np.array_equal(
@@ -163,6 +201,20 @@ class TestParallelBasis:
         assert np.array_equal(
             serial.matrix.indices, parallel.matrix.indices
         )
+
+    def test_parallel_identical_to_serial_under_spawn(self):
+        """Under ``spawn`` (the default on macOS and Windows) the pool
+        pickles its ``initargs`` into each worker; a fresh interpreter
+        keeps that start method out of this process."""
+        src = pathlib.Path(ppr.__file__).resolve().parents[2]
+        result = subprocess.run(
+            [sys.executable, "-c", SPAWN_POOL_SCRIPT],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_small_input_falls_back_to_serial_with_counter(self):
         """Below the size thresholds, parallel requests run serially and
@@ -231,12 +283,13 @@ class TestParallelBasis:
         )
         assert np.array_equal(auto.matrix.data, serial.matrix.data)
 
-    @pytest.mark.skipif(
-        (os.cpu_count() or 1) < 2, reason="needs multiple cores"
-    )
-    def test_worker_default_resolves_to_cpu_count(self):
-        from repro.core.ppr import _resolve_workers
-
-        assert _resolve_workers(None) == os.cpu_count()
-        assert _resolve_workers(0) == os.cpu_count()
-        assert _resolve_workers(3) == 3
+    def test_worker_default_resolves_to_cpu_count(self, monkeypatch):
+        """The default pool size is the usable (affinity) core count,
+        not the machine's: a pool on phantom cores only adds IPC."""
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        assert ppr.usable_cpu_count() == 1
+        assert ppr._resolve_workers(None) == 1
+        assert ppr._resolve_workers(0) == 1
+        assert ppr._resolve_workers(3) == 3

@@ -1,9 +1,9 @@
 """Unit tests for incremental PPR basis repair (ROADMAP item 2).
 
 The contract under test: after any sequence of task/edge insertions,
-``PPRBasis.repair`` / ``ShardedBasis.repair`` seeded with the graph's
-change journal produces a basis within the storage ``epsilon`` of a
-cold rebuild — without re-pushing rows the change never reached.
+``PPRBasis.repair`` seeded with the graph's change journal produces a
+basis within the storage ``epsilon`` of a cold rebuild — without
+re-pushing rows the change never reached.
 """
 
 import numpy as np
@@ -13,8 +13,7 @@ from scipy import sparse
 from repro.core.config import EstimatorConfig
 from repro.core.estimator import AccuracyEstimator
 from repro.core.graph import SimilarityGraph
-from repro.core.indexes import ShardIndex
-from repro.core.ppr import PPRBasis, RepairStats, ShardedBasis
+from repro.core.ppr import PPRBasis, RepairStats
 from repro.core.streaming import GrowableGraph
 from repro.utils.rng import spawn_rng
 
@@ -135,99 +134,6 @@ class TestPPRBasisRepair:
             basis.repair(rect, (), DAMPING)
 
 
-class TestShardedBasisRepair:
-    def make_clustered(self):
-        """Two 10-task clusters with intra-cluster edges only."""
-        rng = spawn_rng(5, "sharded-repair")
-        graph = GrowableGraph()
-        graph.add_tasks(20)
-        for lo in (0, 10):
-            for i in range(lo, lo + 10):
-                for _ in range(3):
-                    j = int(rng.integers(lo, lo + 10))
-                    if j != i:
-                        graph.add_edge(i, j, float(rng.uniform(0.2, 1.0)))
-        return graph
-
-    def test_matches_cold_and_reuses_clean_shard(self):
-        graph = self.make_clustered()
-        idx_old = ShardIndex([range(0, 10), range(10, 20)], 20)
-        old = ShardedBasis.compute(
-            graph.normalized_csr(), idx_old, DAMPING,
-            epsilon=EPSILON, num_workers=1,
-        )
-        graph.mark_clean()
-        # change confined to the second cluster, plus a new third one
-        graph.add_edge(12, 17, 0.7)
-        new = graph.add_tasks(5)
-        for i in new:
-            for j in new:
-                if i < j:
-                    graph.add_edge(i, j, 0.8)
-        delta = graph.mark_clean()
-        idx_new = ShardIndex(
-            [range(0, 10), range(10, 20), range(20, 25)], 25
-        )
-        stats = RepairStats()
-        repaired = old.repair(
-            graph.normalized_csr(), delta.dirty_rows, idx_new, DAMPING,
-            epsilon=EPSILON, stats=stats,
-        )
-        cold = ShardedBasis.compute(
-            graph.normalized_csr(), idx_new, DAMPING,
-            epsilon=EPSILON, num_workers=1,
-        )
-        diff = np.abs(
-            (repaired.to_global() - cold.to_global()).toarray()
-        ).max()
-        assert diff <= EPSILON
-        # shard 0 never touched: block reused without copying
-        assert np.shares_memory(
-            repaired.block(0).data, old.block(0).data
-        )
-        assert stats.reused_rows == 10
-
-    def test_repartition_across_repair(self):
-        """Rows are partition-independent: the new index may split
-        tasks differently and repair still matches cold."""
-        graph = self.make_clustered()
-        idx_old = ShardIndex([range(0, 10), range(10, 20)], 20)
-        old = ShardedBasis.compute(
-            graph.normalized_csr(), idx_old, DAMPING,
-            epsilon=EPSILON, num_workers=1,
-        )
-        graph.mark_clean()
-        graph.add_edge(0, 15, 0.6)  # bridge the clusters
-        delta = graph.mark_clean()
-        idx_new = ShardIndex([range(0, 7), range(7, 20)], 20)
-        repaired = old.repair(
-            graph.normalized_csr(), delta.dirty_rows, idx_new, DAMPING,
-            epsilon=EPSILON,
-        )
-        cold = ShardedBasis.compute(
-            graph.normalized_csr(), idx_new, DAMPING,
-            epsilon=EPSILON, num_workers=1,
-        )
-        diff = np.abs(
-            (repaired.to_global() - cold.to_global()).toarray()
-        ).max()
-        assert diff <= EPSILON
-
-    def test_index_size_mismatch_rejected(self):
-        graph = self.make_clustered()
-        idx = ShardIndex([range(0, 10), range(10, 20)], 20)
-        basis = ShardedBasis.compute(
-            graph.normalized_csr(), idx, DAMPING,
-            epsilon=EPSILON, num_workers=1,
-        )
-        graph.add_tasks(5)
-        with pytest.raises(ValueError):
-            basis.repair(
-                graph.normalized_csr(), (), idx, DAMPING,
-                epsilon=EPSILON,
-            )
-
-
 class TestEstimatorUpdateGraph:
     def test_incremental_repair_matches_cold(self, tmp_path):
         graph = random_growable(25)
@@ -284,30 +190,6 @@ class TestEstimatorUpdateGraph:
         grow(graph, 2, 4)
         estimator.update_graph(SimilarityGraph(graph.similarity_csr()))
         assert estimator.basis.num_tasks == 12
-
-    def test_sharded_incremental_repair(self):
-        graph = random_growable(24, seed=9)
-        config = EstimatorConfig(incremental=True, shard_size=8)
-        estimator = AccuracyEstimator(
-            SimilarityGraph(graph.similarity_csr()), config,
-            basis_method="push",
-        )
-        estimator.precompute()
-        assert isinstance(estimator.basis, ShardedBasis)
-        graph.mark_clean()
-        grow(graph, 6, 10, seed=10)
-        delta = graph.mark_clean()
-        frozen = SimilarityGraph(graph.similarity_csr())
-        estimator.update_graph(frozen, delta.dirty_rows)
-        assert isinstance(estimator.basis, ShardedBasis)
-        assert estimator.basis.num_tasks == 30
-        cold = AccuracyEstimator(
-            frozen, EstimatorConfig(shard_size=8), basis_method="push"
-        )
-        diff = np.abs(
-            (estimator.basis.matrix - cold.basis.matrix).toarray()
-        ).max()
-        assert diff <= config.basis_epsilon
 
     def test_shrinking_graph_rejected(self):
         graph = random_growable(10)

@@ -174,6 +174,48 @@ class TestAbandonment:
         assert len(report.events.expirations()) > 0
 
 
+class TestICrowdLateVotes:
+    def test_late_vote_after_test_lease_not_accepted(self):
+        """Late answers on: a held vote whose task was leased again to
+        the same worker as a test (and answered) used to be accepted,
+        and ``SimulatedPlatform`` raised on the duplicate."""
+        import numpy as np
+
+        from repro.core import ICrowd, ICrowdConfig, SimilarityGraph
+
+        seed = 4
+        rng = np.random.default_rng([seed, 1])
+        tasks = TaskSet(
+            [
+                Task(i, f"synthetic task {i}", f"D{i // 8}",
+                     Label(int(rng.integers(0, 2))))
+                for i in range(16)
+            ]
+        )
+        similarity = np.zeros((16, 16))
+        for lo in (0, 8):
+            members = np.arange(lo, lo + 8)
+            for i in members:
+                picks = rng.choice(
+                    members[members != i], size=3, replace=False
+                )
+                similarity[i, picks] = rng.uniform(0.3, 1.0, size=3)
+        graph = SimilarityGraph.from_matrix(
+            np.maximum(similarity, similarity.T)
+        )
+        policy = ICrowd(tasks, ICrowdConfig(), graph=graph)
+        pool = WorkerPool(
+            generate_profiles(tasks.domains(), 6, seed=0), seed=seed
+        )
+        platform = SimulatedPlatform(
+            tasks, pool, policy,
+            faults=FaultConfig(late_answer=0.5, seed=seed), seed=seed,
+        )
+        report = platform.run(max_steps=200)
+        assert report.faults.late_injected > 0
+        assert report.payments.duplicate_attempts == 0
+
+
 class TestICrowdUnderChaos:
     """Acceptance: iCrowd at 10% duplicate+late faults still finishes,
     never double-pays, and loses at most 2 accuracy points."""
