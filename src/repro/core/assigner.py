@@ -12,14 +12,17 @@ Implements:
 - **Algorithm 2** (``assign``): top-worker generation, greedy selection,
   then performance testing for idle workers.
 
-The greedy step uses a max-heap with lazy invalidation instead of the
-naive O(|T|²) rescan: each pop either yields a still-valid candidate or
-discards a stale one, giving O(|T| log |T| + overlaps).
+The online scheme build works on arrays: the top worker sets of every
+open task are ranked in one numpy pass (:class:`CandidateArrays`), and
+the greedy walk sorts the candidates once, then after each selection
+closes every later candidate that shares one of its workers.
+:class:`TopWorkerSet` objects are built only for the selected
+candidates.  :func:`compute_top_worker_sets` stays as the per-task
+reference.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -51,8 +54,16 @@ class TopWorkerSet:
 
     @property
     def sum_accuracy(self) -> float:
-        """Overall accuracy ``Σ_{w∈Ŵ(t_i)} p_i^w`` (Definition 4)."""
-        return sum(p for _, p in self.workers)
+        """Overall accuracy ``Σ_{w∈Ŵ(t_i)} p_i^w`` (Definition 4).
+
+        Summed left to right, as :func:`greedy_assign` sums its arrays
+        (Python 3.12's ``sum`` compensates rounding, which could reorder
+        near-tied candidates).
+        """
+        total = 0.0
+        for _, p in self.workers:
+            total += p
+        return total
 
     @property
     def avg_accuracy(self) -> float:
@@ -130,75 +141,175 @@ def compute_top_worker_sets(
     return sets
 
 
+@dataclass(frozen=True)
+class CandidateArrays:
+    """Top worker sets of many tasks, as arrays (Definition 3).
+
+    Candidate ``i`` is ⟨t, Ŵ(t)⟩ for ``t = task_ids[i]``.  Its
+    ``sizes[i]`` workers are ``workers[members[j, i]]`` with estimated
+    accuracy ``accuracies[j, i]`` for ranks ``j < sizes[i]``, ordered by
+    ``(-accuracy, worker_id)``.  Ranks from ``sizes[i]`` on hold the
+    padding row ``len(workers)`` and accuracy 0.0.  Every candidate has
+    at least one worker.
+    """
+
+    task_ids: np.ndarray
+    workers: tuple[WorkerId, ...]
+    members: np.ndarray
+    accuracies: np.ndarray
+    sizes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.task_ids)
+
+    def top_set(self, i: int) -> TopWorkerSet:
+        """Candidate ``i`` as a :class:`TopWorkerSet`."""
+        size = int(self.sizes[i])
+        rows = self.members[:size, i].tolist()
+        return TopWorkerSet(
+            task_id=int(self.task_ids[i]),
+            workers=tuple(
+                zip(
+                    [self.workers[r] for r in rows],
+                    self.accuracies[:size, i].tolist(),
+                )
+            ),
+        )
+
+    @classmethod
+    def pack(cls, candidates: Sequence[TopWorkerSet]) -> CandidateArrays:
+        """Arrays holding ``candidates`` (empty ones are dropped)."""
+        kept = [c for c in candidates if c.workers]
+        row_of: dict[WorkerId, int] = {}
+        for candidate in kept:
+            for worker_id, _ in candidate.workers:
+                row_of.setdefault(worker_id, len(row_of))
+        width = max((len(c.workers) for c in kept), default=0)
+        members = np.full((width, len(kept)), len(row_of), dtype=np.intp)
+        accuracies = np.zeros((width, len(kept)))
+        for i, candidate in enumerate(kept):
+            for j, (worker_id, p) in enumerate(candidate.workers):
+                members[j, i] = row_of[worker_id]
+                accuracies[j, i] = p
+        return cls(
+            task_ids=np.array([c.task_id for c in kept], dtype=np.int64),
+            workers=tuple(row_of),
+            members=members,
+            accuracies=accuracies,
+            sizes=np.array([len(c.workers) for c in kept], dtype=np.int64),
+        )
+
+
 def compute_top_worker_sets_fast(
     states: Sequence[TaskState],
     active_workers: Sequence[WorkerId],
     accuracies: Mapping[WorkerId, np.ndarray],
-) -> list[TopWorkerSet]:
-    """Vectorised equivalent of :func:`compute_top_worker_sets`.
+) -> CandidateArrays:
+    """Array equivalent of :func:`compute_top_worker_sets`.
 
-    Stacks the per-worker accuracy vectors into one matrix and ranks
-    each task's column with numpy.  Produces byte-identical output to
-    the reference implementation (same ``(-accuracy, worker_id)`` tie
-    ordering); the reference stays for differential testing.
+    One pass over ``states`` collects the open tasks, their free slots
+    ``k'`` and the (worker, task) pairs already seen.  The seen pairs
+    are masked out of a workers × open-tasks accuracy matrix whose rows
+    are sorted by worker id, and each rank is filled for every task at
+    once by an ``argmax`` over the rows, which returns the lowest row
+    among equal maxima: the reference ``(-accuracy, worker_id)``
+    tie-break.  Candidates hold the same workers and bit-identical
+    accuracies as the reference's, in the same task order.  Active
+    workers must be distinct.
     """
-    workers = list(active_workers)
-    if not workers:
-        return []
-    matrix = np.stack([np.asarray(accuracies[w]) for w in workers])
-    # a stable ordering key per worker for deterministic tie-breaks
-    worker_rank = np.argsort(np.argsort(np.array(workers)))
-    sets: list[TopWorkerSet] = []
+    workers = tuple(sorted(active_workers))
+    row_of = {w: r for r, w in enumerate(workers)}
+    task_ids: list[TaskId] = []
+    slots: list[int] = []
+    seen_rows: list[int] = []
+    seen_cols: list[int] = []
     for state in states:
-        if state.completed or state.remaining == 0:
+        free = state.k - len(state.assigned_workers)
+        if state.completed or free <= 0:
             continue
-        column = matrix[:, state.task_id]
-        if state.assigned_workers or state.tested_workers:
-            mask = np.array(
-                [not state.has_seen(w) for w in workers], dtype=bool
-            )
-            if not mask.any():
-                continue
-        else:
-            mask = None
-        if mask is None:
-            scores = column
-            order = np.lexsort((worker_rank, -scores))
-        else:
-            scores = np.where(mask, column, -np.inf)
-            order = np.lexsort((worker_rank, -scores))
-            order = order[: int(mask.sum())]
-        top = order[: state.remaining]
-        sets.append(
-            TopWorkerSet(
-                task_id=state.task_id,
-                workers=tuple(
-                    (workers[i], float(column[i])) for i in top
-                ),
-            )
-        )
-    return sets
+        col = len(task_ids)
+        task_ids.append(state.task_id)
+        slots.append(free)
+        seen = state.assigned_workers
+        if state.tested_workers:
+            seen = seen | state.tested_workers
+        for worker_id in seen:
+            row = row_of.get(worker_id)
+            if row is not None:
+                seen_rows.append(row)
+                seen_cols.append(col)
+    if not workers or not task_ids:
+        return CandidateArrays.pack([])
+    ids = np.array(task_ids, dtype=np.int64)
+    scores = np.stack([accuracies[w] for w in workers])[:, ids]
+    scores = scores.astype(np.float64, copy=False)
+    scores[seen_rows, seen_cols] = -np.inf
+    eligible = len(workers) - np.bincount(seen_cols, minlength=len(ids))
+    sizes = np.minimum(np.array(slots, dtype=np.int64), eligible)
+    keep = sizes > 0
+    scores, sizes = scores[:, keep], sizes[keep]
+    width = int(sizes.max(initial=0))
+    cols = np.arange(len(sizes))
+    members = np.empty((width, len(sizes)), dtype=np.intp)
+    ranked = np.empty((width, len(sizes)))
+    for rank in range(width):
+        best = scores.argmax(axis=0)
+        members[rank] = best
+        ranked[rank] = scores[best, cols]
+        scores[best, cols] = -np.inf
+    padding = np.arange(width)[:, None] >= sizes
+    members[padding] = len(workers)
+    ranked[padding] = 0.0
+    return CandidateArrays(
+        task_ids=ids[keep],
+        workers=workers,
+        members=members,
+        accuracies=ranked,
+        sizes=sizes,
+    )
 
 
-def greedy_assign(candidates: Sequence[TopWorkerSet]) -> list[TopWorkerSet]:
+def greedy_assign(
+    candidates: CandidateArrays | Sequence[TopWorkerSet],
+) -> list[TopWorkerSet]:
     """Algorithm 3: greedy approximation of optimal microtask assignment.
 
     Repeatedly selects the candidate with the highest average worker
     accuracy whose workers are all still free, until no candidate
     remains.  Ties break by task id for determinism.
+
+    The candidates are sorted once by ``(-average, task_id)``; the
+    average is the left-to-right sum of the ranked accuracies over the
+    set size, as :attr:`TopWorkerSet.avg_accuracy` computes it.  After
+    each selection, one vectorised pass per rank closes every later
+    candidate that holds a taken worker, so the walk builds no worker
+    sets and handles any number of workers.  A plain sequence of
+    :class:`TopWorkerSet` is packed into :class:`CandidateArrays` first.
     """
-    heap: list[tuple[float, TaskId, TopWorkerSet]] = [
-        (-c.avg_accuracy, c.task_id, c) for c in candidates if c.workers
-    ]
-    heapq.heapify(heap)
-    used_workers: set[WorkerId] = set()
+    if not isinstance(candidates, CandidateArrays):
+        candidates = CandidateArrays.pack(candidates)
+    if not len(candidates):
+        return []
+    total = candidates.accuracies[0].copy()
+    for rank_accuracies in candidates.accuracies[1:]:
+        total += rank_accuracies
+    order = np.lexsort((candidates.task_ids, -(total / candidates.sizes)))
+    members = candidates.members[:, order]
+    free = np.ones(len(candidates.workers) + 1, dtype=bool)
+    open_ = np.ones(len(order), dtype=bool)
     scheme: list[TopWorkerSet] = []
-    while heap:
-        _, _, candidate = heapq.heappop(heap)
-        if candidate.worker_ids & used_workers:
-            continue  # stale: overlaps an earlier selection
-        scheme.append(candidate)
-        used_workers |= candidate.worker_ids
+    start = 0
+    while start < len(order):
+        first = start + int(np.argmax(open_[start:]))
+        if not open_[first]:
+            break
+        scheme.append(candidates.top_set(int(order[first])))
+        free[members[:, first]] = False
+        free[-1] = True  # the padding row is never taken
+        start = first + 1
+        later = open_[start:]
+        for rank_members in members[:, start:]:
+            later &= free[rank_members]
     return scheme
 
 

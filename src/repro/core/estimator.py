@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+from collections import OrderedDict
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -49,9 +50,11 @@ from repro.obs.metrics import NULL_RECORDER, Recorder
 #: through every call site).
 BASIS_CACHE_ENV = "REPRO_BASIS_CACHE"
 
-#: Memoised all-ones restart masses kept per estimator before the cache
-#: is dropped (support sets churn slowly, so this is rarely hit).
-_MASS_CACHE_LIMIT = 4096
+#: Memoised all-ones restart masses kept per estimator; past this many
+#: the least recently used support is evicted.  A live worker's support
+#: changes only when a task the worker answered completes, so a support
+#: is reused soon after it was last used or not at all.
+_MASS_CACHE_LIMIT = 128
 
 
 class AccuracyEstimator:
@@ -95,7 +98,10 @@ class AccuracyEstimator:
         #: True when the current basis was served from the on-disk
         #: cache rather than computed (diagnostics / benches).
         self.basis_from_cache = False
-        self._mass_cache: dict[frozenset[TaskId], np.ndarray] = {}
+        #: support -> mass, least recently used first
+        self._mass_cache: OrderedDict[frozenset[TaskId], np.ndarray] = (
+            OrderedDict()
+        )
 
     def _resolve_cache_dir(
         self, explicit: str | pathlib.Path | None
@@ -250,13 +256,14 @@ class AccuracyEstimator:
             ).inc()
             mass = self.basis.combine({t: 1.0 for t in support})
             if len(self._mass_cache) >= _MASS_CACHE_LIMIT:
-                self._mass_cache.clear()
+                self._mass_cache.popitem(last=False)
             self._mass_cache[support] = mass
         else:
             self.recorder.counter(
                 "repro_estimator_mass_cache_hits_total",
                 "Support-mass vectors served from the memo cache.",
             ).inc()
+            self._mass_cache.move_to_end(support)
         return mass
 
     def estimate(self, observed: Mapping[TaskId, float]) -> np.ndarray:

@@ -319,10 +319,15 @@ class ICrowd:
     # ------------------------------------------------------------------
     def _observed_of(self, worker_id: WorkerId) -> dict[TaskId, float]:
         """Sparse observed accuracies ``q^w`` (Eq. 5) for a worker."""
-        votes_by_task = {
-            t: vs.answers for t, vs in self._votes.items() if vs.answers
-        }
-        answers = list(self._answers.get(worker_id, ()))
+        answers = self._answers.get(worker_id, [])
+        tests = self._test_answers.get(worker_id, [])
+        # vote lists of the tasks this worker answered (qualification
+        # tasks have none)
+        votes_by_task: dict[TaskId, list[Answer]] = {}
+        for answer in answers + tests:
+            vote_state = self._votes.get(answer.task_id)
+            if vote_state is not None and vote_state.answers:
+                votes_by_task[answer.task_id] = vote_state.answers
         observed = self._observed_computer.compute(
             answers,
             votes_by_task,
@@ -331,7 +336,7 @@ class ICrowd:
         )
         # grade test answers against the (already formed) consensus; the
         # test vote itself joins the Eq. (5) vote list
-        for answer in self._test_answers.get(worker_id, ()):
+        for answer in tests:
             consensus = self._consensus.get(answer.task_id)
             if consensus is None:
                 continue
@@ -435,7 +440,7 @@ class ICrowd:
 
     def is_finished(self) -> bool:
         """True once every non-qualification task reached consensus."""
-        return not self.uncompleted_tasks()
+        return all(state.completed for state in self._states.values())
 
     def predictions(self) -> dict[TaskId, Label]:
         """Current results: consensus where complete, else running

@@ -201,7 +201,12 @@ class MultiICrowd:
             self._assign_epoch += 1
             state.tested_workers.add(worker_id)
         else:
-            if any(w == worker_id for w, _ in vote_state.answers):
+            if worker_id in state.tested_workers or any(
+                w == worker_id for w, _ in vote_state.answers
+            ):
+                # tested_workers covers a vote held past its lease
+                # expiry that arrives after the task was re-leased to
+                # the same worker as a performance test
                 return AnswerOutcome.DUPLICATE
             if state.completed:
                 # the slot was requeued and filled by someone else first

@@ -14,6 +14,11 @@ from repro.core.assigner import (
     scheme_value,
 )
 from repro.core.config import AssignerConfig
+from tests.core.scheme_oracle import (
+    as_bits,
+    assert_scheme_matches_reference,
+    heap_greedy_assign,
+)
 
 
 def accuracies_from(matrix: dict[str, list[float]]):
@@ -123,14 +128,204 @@ class TestFastTopWorkerSets:
         slow = compute_top_worker_sets(states, workers, acc)
         fast = compute_top_worker_sets_fast(states, workers, acc)
         assert len(slow) == len(fast)
-        for s, f in zip(slow, fast):
-            assert s.task_id == f.task_id
-            assert [w for w, _ in s.workers] == [w for w, _ in f.workers]
-            for (_, ps), (_, pf) in zip(s.workers, f.workers):
-                assert ps == pytest.approx(pf)
+        assert as_bits(fast.top_set(i) for i in range(len(fast))) == as_bits(
+            slow
+        )
 
     def test_empty_workers(self):
-        assert compute_top_worker_sets_fast([], [], {}) == []
+        fast = compute_top_worker_sets_fast([], [], {})
+        assert len(fast) == 0
+        assert greedy_assign(fast) == []
+
+
+def random_instance(
+    seed,
+    num_tasks=30,
+    num_workers=10,
+    num_active=8,
+    k=3,
+    levels=None,
+    max_assigned=3,
+    max_tested=1,
+    completed=0.2,
+    bystanders=0,
+):
+    """Seeded task states, a shuffled active set and accuracy vectors.
+
+    ``levels`` draws accuracies from ``{0, 1/levels, ..., 1}`` (ties);
+    the last ``bystanders`` workers are active but absent from every
+    state.
+    """
+    rng = np.random.default_rng(seed)
+    workers = [f"w{i:03d}" for i in range(num_workers)]
+    in_states = workers[: num_workers - bystanders]
+    active = [workers[i] for i in rng.permutation(num_workers)[:num_active]]
+    active += workers[num_workers - bystanders :]
+    acc = {}
+    for worker in workers:
+        if levels:
+            acc[worker] = rng.integers(0, levels + 1, num_tasks) / levels
+        else:
+            acc[worker] = rng.uniform(0.0, 1.0, num_tasks)
+
+    def some(limit):
+        size = int(rng.integers(0, min(limit, len(in_states)) + 1))
+        return set(rng.choice(in_states, size=size, replace=False).tolist())
+
+    states = [
+        TaskState(
+            task_id=t,
+            k=k,
+            assigned_workers=some(max_assigned),
+            tested_workers=some(max_tested),
+            completed=bool(rng.random() < completed),
+        )
+        for t in range(num_tasks)
+    ]
+    return states, list(dict.fromkeys(active)), acc
+
+
+class TestArraySchemeBuild:
+    """Array scheme build vs. per-task top sets + heap walk."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            pytest.param({}, id="uniform"),
+            pytest.param({"levels": 2}, id="ties"),
+            pytest.param({"levels": 4, "k": 2}, id="ties-k2"),
+            pytest.param(
+                {"max_assigned": 0, "max_tested": 4}, id="tested-only"
+            ),
+            pytest.param(
+                {"max_assigned": 2, "completed": 0.5}, id="partly-assigned"
+            ),
+            pytest.param(
+                {"num_workers": 5, "num_active": 4, "k": 6},
+                id="fewer-eligible-than-slots",
+            ),
+            pytest.param(
+                {"num_workers": 14, "num_active": 6, "bystanders": 4},
+                id="actives-absent-from-states",
+            ),
+            pytest.param(
+                {"num_workers": 90, "num_active": 80, "k": 4},
+                id="80-active",
+            ),
+            pytest.param(
+                {"num_workers": 90, "num_active": 70, "levels": 3, "k": 1},
+                id="70-active-ties",
+            ),
+        ],
+    )
+    def test_matches_reference(self, case):
+        for seed in range(12):
+            assert_scheme_matches_reference(*random_instance(seed, **case))
+
+    def test_average_tie_breaks_by_task_id(self):
+        acc = accuracies_from(
+            {"a": [0.5] * 6, "b": [0.5] * 6, "c": [0.5] * 6}
+        )
+        states = [
+            TaskState(task_id=5, k=1),
+            TaskState(task_id=3, k=3, assigned_workers={"a"}),
+            TaskState(task_id=4, k=3, completed=True),
+        ]
+        scheme = greedy_assign(
+            compute_top_worker_sets_fast(states, ["c", "b", "a"], acc)
+        )
+        # both averages are 0.5: task 3 first (b, c), then 5 (a)
+        assert [(c.task_id, c.workers) for c in scheme] == [
+            (3, (("b", 0.5), ("c", 0.5))),
+            (5, (("a", 0.5),)),
+        ]
+        assert_scheme_matches_reference(states, ["c", "b", "a"], acc)
+
+    @pytest.mark.parametrize(
+        "states, active",
+        [
+            ([], []),
+            ([], ["a"]),
+            ([TaskState(task_id=0, k=3)], []),
+            ([TaskState(task_id=0, k=3, completed=True)], ["a"]),
+            ([TaskState(task_id=0, k=1, assigned_workers={"b"})], ["a"]),
+            ([TaskState(task_id=0, k=3, tested_workers={"a"})], ["a"]),
+        ],
+    )
+    def test_empty_inputs(self, states, active):
+        acc = accuracies_from({"a": [0.6], "b": [0.7]})
+        fast = compute_top_worker_sets_fast(states, active, acc)
+        assert len(fast) == 0
+        assert greedy_assign(fast) == []
+        assert_scheme_matches_reference(states, active, acc)
+
+    def test_simulated_run_matches_oracle_event_log(
+        self, tmp_path, monkeypatch
+    ):
+        """A seeded simulator run writes the same event log with the
+        scheme build swapped for the reference top sets + heap walk."""
+        import repro.core.assigner as assigner_module
+        from repro.core import ICrowd, ICrowdConfig, SimilarityGraph
+        from repro.core.types import Label, Task, TaskSet
+        from repro.platform import FaultConfig, SimulatedPlatform
+        from repro.workers import WorkerPool, generate_profiles
+
+        seed = 6
+        rng = np.random.default_rng([seed, 1])
+        tasks = TaskSet(
+            [
+                Task(i, f"task {i}", f"D{i // 20}",
+                     Label(int(rng.integers(0, 2))))
+                for i in range(60)
+            ]
+        )
+        similarity = np.zeros((60, 60))
+        for lo in (0, 20, 40):
+            members = np.arange(lo, lo + 20)
+            for i in members:
+                picks = rng.choice(
+                    members[members != i], size=4, replace=False
+                )
+                similarity[i, picks] = rng.uniform(0.3, 1.0, size=4)
+        similarity = np.maximum(similarity, similarity.T)
+
+        def event_log(name):
+            graph = SimilarityGraph.from_matrix(similarity)
+            policy = ICrowd(tasks, ICrowdConfig(), graph=graph)
+            platform = SimulatedPlatform(
+                tasks,
+                WorkerPool(
+                    generate_profiles(tasks.domains(), 14, seed=0),
+                    seed=seed,
+                ),
+                policy,
+                abandonment=0.1,
+                faults=FaultConfig.chaos(0.1, seed=seed),
+                seed=seed,
+            )
+            report = platform.run(max_steps=500)
+            path = tmp_path / f"{name}.jsonl"
+            report.events.to_jsonl(path)
+            return path.read_bytes(), policy.assigner.scheme_computations
+
+        production, builds = event_log("production")
+        oracle_builds = []
+
+        def reference_top_sets(states, active, acc):
+            oracle_builds.append(len(states))
+            return compute_top_worker_sets(states, active, acc)
+
+        monkeypatch.setattr(
+            assigner_module, "compute_top_worker_sets_fast",
+            reference_top_sets,
+        )
+        monkeypatch.setattr(
+            assigner_module, "greedy_assign", heap_greedy_assign
+        )
+        reference, _ = event_log("oracle")
+        assert builds > 50
+        assert len(oracle_builds) == builds
+        assert reference == production
 
 
 class TestGreedyAssign:

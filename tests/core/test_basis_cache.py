@@ -167,5 +167,15 @@ class TestMassMemoisation:
             for i in range(mod_limit + 2):
                 est.estimate({i % 12: 1.0, (i + 1) % 12: 0.5})
             assert len(est._mass_cache) <= mod_limit + 1
+            # least recently used goes first: the oldest support that is
+            # touched again survives the next eviction, the next oldest
+            # (untouched) does not
+            held = list(est._mass_cache)
+            touched, untouched = held[0], held[1]
+            est.estimate(dict.fromkeys(touched, 0.3))
+            est.estimate({10: 1.0, 11: 0.5})
+            assert len(est._mass_cache) == mod_limit
+            assert touched in est._mass_cache
+            assert untouched not in est._mass_cache
         finally:
             mod._MASS_CACHE_LIMIT = limit

@@ -95,6 +95,25 @@ class TestFlow:
         assert assignment is not None
         assert assignment.task_id not in framework.qualification_tasks
 
+    def test_late_vote_after_test_release_is_duplicate(self, framework):
+        """A vote held past its lease expiry, arriving after the same
+        worker answered the re-leased task as a performance test, must
+        not count."""
+        from repro.core.types import AnswerOutcome
+
+        assignment = finish_warmup(framework, "w1")
+        assert assignment is not None and not assignment.is_test
+        task_id = assignment.task_id
+        # the vote lease expires: the slot is released
+        assert framework.release_assignment("w1", task_id)
+        # the task is leased again to w1 as a test, and answered
+        assert framework.on_answer("w1", task_id, "cat", is_test=True).accepted
+        votes_before = list(framework._votes[task_id].answers)
+        # the held vote arrives last
+        outcome = framework.on_answer("w1", task_id, "dog")
+        assert outcome is AnswerOutcome.DUPLICATE
+        assert framework._votes[task_id].answers == votes_before
+
     def test_plurality_completion(self, framework):
         for worker in ("w1", "w2", "w3"):
             finish_warmup(framework, worker)
