@@ -289,13 +289,12 @@ class AccuracyEstimator:
         raw = self.basis.combine(observed)
         mass = self._support_mass(frozenset(observed))
         prior = self.config.prior_accuracy
-        out = np.full(self.graph.num_tasks, prior, dtype=np.float64)
-        reached = mass > 1e-9
         # Blend toward the prior where mass is weak: an entry with total
         # incoming mass m gets m-weighted evidence and (1-m)-weighted
         # prior, capping the evidence weight at 1.
-        evidence = np.zeros_like(out)
-        evidence[reached] = raw[reached] / mass[reached]
+        evidence = np.divide(
+            raw, mass, out=np.zeros(self.graph.num_tasks), where=mass > 1e-9
+        )
         weight = np.clip(mass, 0.0, 1.0)
         out = weight * evidence + (1.0 - weight) * prior
         np.clip(out, 0.0, 1.0, out=out)

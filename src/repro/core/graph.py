@@ -169,8 +169,9 @@ class SimilarityGraph:
         """Adjacent tasks of ``task_id`` with their similarities.
 
         Adjacency lists are materialised once on first use; repeated
-        neighbourhood lookups (the performance tester's hot path) are
-        then plain list reads.
+        lookups are then plain list reads.  The performance tester does
+        not call this: it builds its neighbourhood arrays straight from
+        the rows of :attr:`matrix`.
         """
         if not 0 <= task_id < self.num_tasks:
             raise ValueError(f"task id {task_id} out of range")

@@ -313,15 +313,8 @@ class PushKernel:
             estimate[frontier] += (1.0 - c) * r_front
             residual[frontier] = 0.0
             pushes += frontier.size
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            total = int(counts.sum())
-            if total:
-                # vectorised multi-range gather: the concatenation of
-                # range(starts[k], starts[k] + counts[k]) over the frontier
-                cum = np.cumsum(counts)
-                offsets = np.arange(total) - np.repeat(cum - counts, counts)
-                idx = np.repeat(starts, counts) + offsets
+            idx, counts = csr_row_positions(indptr, frontier)
+            if idx.size:
                 neighbors = indices[idx]
                 contrib = c * data[idx] * np.repeat(r_front, counts)
                 np.add.at(residual, neighbors, contrib)
@@ -620,6 +613,23 @@ def push_sources(
         else np.zeros(0, dtype=np.float64)
     )
     return counts, cols, vals
+
+
+def csr_row_positions(
+    indptr: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where the stored entries of ``rows`` sit in a CSR structure.
+
+    Returns the positions into ``indices`` / ``data`` of every entry of
+    ``rows[0]``, then of ``rows[1]``, and so on (the concatenation of
+    ``range(indptr[r], indptr[r + 1])``), and each row's entry count.
+    """
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    positions = np.arange(total) + np.repeat(starts - (ends - counts), counts)
+    return positions, counts
 
 
 def assemble_csr(
@@ -1027,9 +1037,8 @@ class PPRBasis:
         return self._matrix
 
     def _row_slice(self, task_id: int) -> tuple[np.ndarray, np.ndarray]:
-        """(column indices, values) of one basis row without copying
-        the matrix structure (scipy's ``getrow`` builds a whole new CSR
-        per call, which dominates the online-estimation profile)."""
+        """(column indices, values) of one basis row, as views of the
+        CSR arrays (scipy's ``getrow`` would build a whole new CSR)."""
         indptr = self._matrix.indptr
         start, end = indptr[task_id], indptr[task_id + 1]
         return (
@@ -1052,14 +1061,23 @@ class PPRBasis:
         """
         n = self.num_tasks
         if isinstance(q, dict):
-            out = np.zeros(n)
-            for task_id, weight in q.items():
-                # repro-lint: disable=RL004 -- exact-zero skip, not a tolerance
-                if weight == 0.0:
-                    continue
-                cols, vals = self._row_slice(task_id)
-                out[cols] += weight * vals
-            return out
+            rows = np.fromiter(q.keys(), np.int64, len(q))
+            weights = np.fromiter(q.values(), np.float64, len(q))
+            # repro-lint: disable=RL004 -- exact-zero skip, not a tolerance
+            nonzero = weights != 0.0
+            idx, counts = csr_row_positions(
+                self._matrix.indptr, rows[nonzero]
+            )
+            if not idx.size:
+                return np.zeros(n)  # np.bincount of nothing is int64
+            # bincount adds each column's q_i · p_{t_i} products left to
+            # right, row after row in dict order
+            return np.bincount(
+                self._matrix.indices[idx],
+                weights=np.repeat(weights[nonzero], counts)
+                * self._matrix.data[idx],
+                minlength=n,
+            )
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (n,):
             raise ValueError(f"q has shape {q.shape}, expected ({n},)")

@@ -23,11 +23,12 @@ estimated accuracy of the existing workers.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, overload
 
 import numpy as np
 
 from repro.core.graph import SimilarityGraph
+from repro.core.ppr import csr_row_positions
 from repro.core.types import TaskId, WorkerId
 
 if TYPE_CHECKING:
@@ -40,13 +41,26 @@ _MAX_BETA_VARIANCE = 1.0 / 12.0
 ObservedLookup = Callable[[WorkerId], Mapping[TaskId, float]]
 
 
-def beta_variance(n_correct: float, n_incorrect: float) -> float:
-    """Variance of Beta(n_correct + 1, n_incorrect + 1).
+@overload
+def beta_variance(n_correct: float, n_incorrect: float) -> float: ...
+
+
+@overload
+def beta_variance(
+    n_correct: np.ndarray, n_incorrect: np.ndarray
+) -> np.ndarray: ...
+
+
+def beta_variance(
+    n_correct: float | np.ndarray, n_incorrect: float | np.ndarray
+) -> float | np.ndarray:
+    """Variance of Beta(n_correct + 1, n_incorrect + 1), elementwise
+    for arrays of counts.
 
     ``n_correct`` / ``n_incorrect`` may be fractional: Eq. (5) grades
     consensus answers with probabilities, so counts are expected values.
     """
-    if n_correct < 0 or n_incorrect < 0:
+    if np.any(np.less(n_correct, 0)) or np.any(np.less(n_incorrect, 0)):
         raise ValueError("counts must be non-negative")
     a = n_correct + 1.0
     b = n_incorrect + 1.0
@@ -85,65 +99,36 @@ class PerformanceTester:
         self.observed_of = observed_of
         self.uncertainty_weight = uncertainty_weight
         self.prior_accuracy = prior_accuracy
+        self._hoods: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
-    def uncertainty(
-        self,
-        worker_id: WorkerId,
-        task_id: TaskId,
-        observed: Mapping[TaskId, float] | None = None,
-    ) -> float:
-        """Normalised Beta-posterior variance of ``w`` around ``task_id``.
+    def _neighbourhoods(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every task's neighbourhood ``{t} ∪ N(t)`` as CSR arrays.
 
-        Counts the worker's performance over the candidate task's graph
-        neighbourhood (the candidate itself included).  ``observed`` may
-        be supplied to avoid recomputing ``q^w`` per candidate.
+        Task ``t``'s members are ``members[bounds[t]:bounds[t + 1]]``,
+        in the iteration order of the set ``{t} | set(row)`` built from
+        its row of ``graph.matrix``.  Uncertainty sums run in that
+        order, which is also the order of the set built from
+        :meth:`SimilarityGraph.neighbors`.  Built on the first test
+        choice.
         """
-        if observed is None:
-            observed = self.observed_of(worker_id)
-        neighborhood = {task_id} | {
-            j for j, _ in self.graph.neighbors(task_id)
-        }
-        n_correct = 0.0
-        n_total = 0.0
-        for neighbor in neighborhood:
-            q = observed.get(neighbor)
-            if q is None:
-                continue
-            n_correct += q
-            n_total += 1.0
-        variance = beta_variance(n_correct, n_total - n_correct)
-        return variance / _MAX_BETA_VARIANCE
-
-    def coworker_quality(
-        self,
-        task_state: "TaskState",
-        accuracies: Mapping[WorkerId, np.ndarray],
-    ) -> float:
-        """Mean estimated accuracy of workers already on the task."""
-        values = []
-        for worker_id in task_state.assigned_workers:
-            vector = accuracies.get(worker_id)
-            if vector is None:
-                values.append(self.prior_accuracy)
-            else:
-                values.append(float(vector[task_state.task_id]))
-        if not values:
-            return 0.0
-        return float(np.mean(values))
-
-    def score(
-        self,
-        worker_id: WorkerId,
-        task_state: "TaskState",
-        accuracies: Mapping[WorkerId, np.ndarray],
-        observed: Mapping[TaskId, float] | None = None,
-    ) -> float:
-        """Combined test desirability of a candidate task."""
-        w = self.uncertainty_weight
-        return w * self.uncertainty(
-            worker_id, task_state.task_id, observed=observed
-        ) + (1.0 - w) * self.coworker_quality(task_state, accuracies)
+        if self._hoods is None:
+            matrix = self.graph.matrix
+            indptr, indices = matrix.indptr, matrix.indices
+            members: list[int] = []
+            bounds = [0]
+            for task_id in range(matrix.shape[0]):
+                row = indices[indptr[task_id]:indptr[task_id + 1]]
+                # set order (deterministic for int ids) is the order of
+                # the neighbourhood sums
+                hood = {task_id} | set(row.tolist())
+                members.extend(hood)
+                bounds.append(len(members))
+            self._hoods = (
+                np.array(bounds, dtype=np.int64),
+                np.array(members, dtype=np.int64),
+            )
+        return self._hoods
 
     def choose_test_task(
         self,
@@ -154,25 +139,68 @@ class PerformanceTester:
         """Best test task for an idle worker, or None when nothing fits.
 
         Candidates are tasks that other workers have been assigned to
-        (so a graded consensus will exist) and that the worker has not
-        answered herself.
+        (so a graded consensus will exist) and that the requesting worker
+        has not seen.  Each candidate ``t`` scores
+
+            w · Var(t) / (1/12) + (1 - w) · mean co-worker accuracy on t
+
+        where ``Var(t)`` is :func:`beta_variance` of the worker's
+        observed-correct and observed-incorrect counts over ``{t} ∪
+        N(t)``.  Ties go to the lowest task id.
+
+        One pass over ``states`` keeps the candidates and sums each one's
+        co-worker accuracies left to right, in the iteration order of
+        ``assigned_workers``.  The rest runs on candidate arrays: the
+        neighbourhood counts are ``np.bincount`` sums, which also add
+        left to right, in the order of :meth:`_neighbourhoods`
+        (unobserved members add +0.0).  The score keeps the operation
+        order of the formula above.
         """
-        best_task: TaskId | None = None
-        best_score = -1.0
         observed = self.observed_of(worker_id)
+        prior = self.prior_accuracy
+        candidates: list[TaskId] = []
+        quality: list[float] = []
         for state in states:
-            if state.has_seen(worker_id):
-                continue
-            if not state.assigned_workers:
-                continue
-            value = self.score(
-                worker_id, state, accuracies, observed=observed
-            )
-            if value > best_score or (
-                value == best_score
-                and best_task is not None
-                and state.task_id < best_task
+            assigned = state.assigned_workers
+            if (
+                not assigned
+                or worker_id in assigned
+                or worker_id in state.tested_workers
             ):
-                best_score = value
-                best_task = state.task_id
-        return best_task
+                continue
+            task_id = state.task_id
+            summed = 0.0
+            for other in assigned:
+                vector = accuracies.get(other)
+                summed += prior if vector is None else float(vector[task_id])
+            candidates.append(task_id)
+            quality.append(summed / len(assigned))
+        if not candidates:
+            return None
+        task_ids = np.array(candidates, dtype=np.int64)
+
+        bounds, members = self._neighbourhoods()
+        positions, lengths = csr_row_positions(bounds, task_ids)
+        hood = members[positions]
+        owner = np.repeat(np.arange(len(candidates)), lengths)
+        correct = np.zeros(self.graph.num_tasks)
+        seen = np.zeros(self.graph.num_tasks)
+        if observed:
+            keys = np.fromiter(observed.keys(), np.int64, len(observed))
+            correct[keys] = np.fromiter(
+                observed.values(), np.float64, len(observed)
+            )
+            seen[keys] = 1.0
+        n_correct = np.bincount(
+            owner, weights=correct[hood], minlength=len(candidates)
+        )
+        n_total = np.bincount(
+            owner, weights=seen[hood], minlength=len(candidates)
+        )
+        variance = beta_variance(n_correct, n_total - n_correct)
+        uncertainty = variance / _MAX_BETA_VARIANCE
+        w = self.uncertainty_weight
+        score = w * uncertainty + (1.0 - w) * np.array(quality)
+        # highest score first, then lowest task id; NaN sorts last
+        best = np.lexsort((task_ids, -score))[0]
+        return int(task_ids[best]) if score[best] > -1.0 else None

@@ -92,3 +92,54 @@ def tiny_config() -> ICrowdConfig:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def chaos_event_log(tmp_path):
+    """Runs one seeded ``ICrowd`` simulation (60 tasks in 3 domains, 14
+    workers, chaos faults and abandonment, 500 steps) and returns its
+    ``EventLog.to_jsonl`` bytes with the policy; call it once per
+    variant of the program to compare."""
+    from repro.core import ICrowd
+    from repro.platform import FaultConfig, SimulatedPlatform
+    from repro.workers import WorkerPool, generate_profiles
+
+    seed = 6
+    rng = np.random.default_rng([seed, 1])
+    tasks = TaskSet(
+        [
+            Task(i, f"task {i}", f"D{i // 20}",
+                 Label(int(rng.integers(0, 2))))
+            for i in range(60)
+        ]
+    )
+    similarity = np.zeros((60, 60))
+    for lo in (0, 20, 40):
+        members = np.arange(lo, lo + 20)
+        for i in members:
+            picks = rng.choice(
+                members[members != i], size=4, replace=False
+            )
+            similarity[i, picks] = rng.uniform(0.3, 1.0, size=4)
+    similarity = np.maximum(similarity, similarity.T)
+
+    def event_log(name):
+        graph = SimilarityGraph.from_matrix(similarity)
+        policy = ICrowd(tasks, ICrowdConfig(), graph=graph)
+        platform = SimulatedPlatform(
+            tasks,
+            WorkerPool(
+                generate_profiles(tasks.domains(), 14, seed=0),
+                seed=seed,
+            ),
+            policy,
+            abandonment=0.1,
+            faults=FaultConfig.chaos(0.1, seed=seed),
+            seed=seed,
+        )
+        report = platform.run(max_steps=500)
+        path = tmp_path / f"{name}.jsonl"
+        report.events.to_jsonl(path)
+        return path.read_bytes(), policy
+
+    return event_log

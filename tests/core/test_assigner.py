@@ -260,55 +260,14 @@ class TestArraySchemeBuild:
         assert_scheme_matches_reference(states, active, acc)
 
     def test_simulated_run_matches_oracle_event_log(
-        self, tmp_path, monkeypatch
+        self, chaos_event_log, monkeypatch
     ):
         """A seeded simulator run writes the same event log with the
         scheme build swapped for the reference top sets + heap walk."""
         import repro.core.assigner as assigner_module
-        from repro.core import ICrowd, ICrowdConfig, SimilarityGraph
-        from repro.core.types import Label, Task, TaskSet
-        from repro.platform import FaultConfig, SimulatedPlatform
-        from repro.workers import WorkerPool, generate_profiles
 
-        seed = 6
-        rng = np.random.default_rng([seed, 1])
-        tasks = TaskSet(
-            [
-                Task(i, f"task {i}", f"D{i // 20}",
-                     Label(int(rng.integers(0, 2))))
-                for i in range(60)
-            ]
-        )
-        similarity = np.zeros((60, 60))
-        for lo in (0, 20, 40):
-            members = np.arange(lo, lo + 20)
-            for i in members:
-                picks = rng.choice(
-                    members[members != i], size=4, replace=False
-                )
-                similarity[i, picks] = rng.uniform(0.3, 1.0, size=4)
-        similarity = np.maximum(similarity, similarity.T)
-
-        def event_log(name):
-            graph = SimilarityGraph.from_matrix(similarity)
-            policy = ICrowd(tasks, ICrowdConfig(), graph=graph)
-            platform = SimulatedPlatform(
-                tasks,
-                WorkerPool(
-                    generate_profiles(tasks.domains(), 14, seed=0),
-                    seed=seed,
-                ),
-                policy,
-                abandonment=0.1,
-                faults=FaultConfig.chaos(0.1, seed=seed),
-                seed=seed,
-            )
-            report = platform.run(max_steps=500)
-            path = tmp_path / f"{name}.jsonl"
-            report.events.to_jsonl(path)
-            return path.read_bytes(), policy.assigner.scheme_computations
-
-        production, builds = event_log("production")
+        production, policy = chaos_event_log("production")
+        builds = policy.assigner.scheme_computations
         oracle_builds = []
 
         def reference_top_sets(states, active, acc):
@@ -322,7 +281,7 @@ class TestArraySchemeBuild:
         monkeypatch.setattr(
             assigner_module, "greedy_assign", heap_greedy_assign
         )
-        reference, _ = event_log("oracle")
+        reference, _ = chaos_event_log("oracle")
         assert builds > 50
         assert len(oracle_builds) == builds
         assert reference == production

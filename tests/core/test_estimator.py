@@ -1,9 +1,12 @@
 """Unit tests for the graph-based accuracy estimator (Section 3.1)."""
 
 import numpy as np
+import pytest
 
 from repro.core.config import EstimatorConfig
 from repro.core.estimator import AccuracyEstimator
+from repro.core.graph import SimilarityGraph
+from tests.core.online_oracle import combine_rows
 
 
 class TestEstimateRaw:
@@ -81,6 +84,55 @@ class TestEstimateCalibrated:
         assert faithful[2] < 0.6
         # smooth: distant nodes receive much more of the signal
         assert smooth[2] > faithful[2]
+
+
+def blended_estimate(estimator, observed):
+    """``estimate`` as written before its temporaries went: a prior
+    vector, a masked three-step division, then the blend."""
+    basis = estimator.basis
+    raw = combine_rows(basis, dict(observed))
+    # the support-mass memo sums rows in frozenset order
+    mass = combine_rows(basis, dict.fromkeys(frozenset(observed), 1.0))
+    prior = estimator.config.prior_accuracy
+    out = np.full(estimator.graph.num_tasks, prior, dtype=np.float64)
+    reached = mass > 1e-9
+    evidence = np.zeros_like(out)
+    evidence[reached] = raw[reached] / mass[reached]
+    weight = np.clip(mass, 0.0, 1.0)
+    out = weight * evidence + (1.0 - weight) * prior
+    np.clip(out, 0.0, 1.0, out=out)
+    return out
+
+
+class TestEstimateBitIdentity:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_blended_formula(self, seed):
+        """Seeded observations on a graph of four components and five
+        isolated tasks: some tasks get no mass from the support."""
+        rng = np.random.default_rng([seed, 11])
+        n = 45
+        similarity = np.zeros((n, n))
+        for lo in range(0, 40, 10):
+            block = rng.uniform(0.2, 1.0, size=(10, 10))
+            similarity[lo:lo + 10, lo:lo + 10] = block * (
+                rng.uniform(size=(10, 10)) < 0.4
+            )
+        graph = SimilarityGraph.from_matrix(
+            np.maximum(similarity, similarity.T)
+        )
+        estimator = AccuracyEstimator(
+            graph, EstimatorConfig(prior_accuracy=0.6)
+        )
+        for size in (1, 3, 8):
+            keys = rng.choice(n, size=size, replace=False).tolist()
+            observed = dict(zip(keys, rng.uniform(size=size).tolist()))
+            got = estimator.estimate(observed)
+            want = blended_estimate(estimator, observed)
+            mass = combine_rows(
+                estimator.basis, dict.fromkeys(observed, 1.0)
+            )
+            assert (mass <= 1e-9).any()
+            assert got.tobytes() == want.tobytes()
 
 
 class TestInfluenceSupport:

@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import GraphConfig, ICrowdConfig, QualificationConfig
 from repro.core.framework_multi import MultiICrowd, MultiTask
 from repro.utils.rng import spawn_rng
+from tests.core import online_oracle
 
 CHOICES = ("cat", "dog", "bird")
 
@@ -193,3 +194,44 @@ class TestFlow:
             ]
         )
         assert accuracy > 0.6
+
+    def test_test_choice_matches_oracle(self):
+        """``MultiICrowd``'s own tester, over ``_observed_of``, picks the
+        per-candidate oracle's test task for every worker mid-job."""
+        config = ICrowdConfig(
+            qualification=QualificationConfig(
+                num_qualification=2, qualification_threshold=0.0
+            ),
+            graph=GraphConfig(measure="jaccard", threshold=0.3),
+        )
+        tasks = make_tasks()
+        framework = MultiICrowd(
+            tasks, CHOICES, config, qualification_tasks=[0, 6]
+        )
+        truth = {t.task_id: t.truth for t in tasks}
+        rng = spawn_rng(2, "multi-tester")
+        workers = [f"w{i}" for i in range(6)]
+        tester = framework.assigner.tester
+        assert tester.observed_of == framework._observed_of
+        picked = []
+        for _ in range(40):
+            worker = workers[int(rng.integers(0, len(workers)))]
+            assignment = framework.on_worker_request(worker, workers)
+            if assignment is not None:
+                framework.on_answer(
+                    worker,
+                    assignment.task_id,
+                    truth[assignment.task_id] if rng.random() < 0.7
+                    else CHOICES[int(rng.integers(0, 3))],
+                    assignment.is_test,
+                )
+            states = list(framework._states.values())
+            estimates = framework._estimates
+            for other in workers:
+                chosen = tester.choose_test_task(other, states, estimates)
+                assert chosen == online_oracle.choose_test_task(
+                    tester, other, states, estimates
+                )
+                picked.append(chosen)
+        assert any(task is not None for task in picked)
+        assert any(framework._observed_of(w) for w in workers)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.core.ppr import (
     PPRBasis,
@@ -9,6 +10,7 @@ from repro.core.ppr import (
     power_iteration,
     solve_exact,
 )
+from tests.core.online_oracle import combine_rows
 
 
 def dense_unit(n, i):
@@ -159,3 +161,65 @@ class TestPPRBasis:
             line_graph.normalized, damping=0.5, method="auto"
         )
         assert basis.num_tasks == 5
+
+
+class TestCombineMatchesRowLoop:
+    """The dict path of ``combine`` returns the per-row loop's floats,
+    bit for bit: each column's products added left to right, in dict
+    order, zero weights skipped."""
+
+    @staticmethod
+    def random_basis(seed, n=60, empty_rows=10):
+        """A CSR basis with random rows, ``empty_rows`` of them with no
+        stored entries."""
+        rng = np.random.default_rng([seed, 3])
+        dense = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.2)
+        dense[rng.choice(n, size=empty_rows, replace=False)] = 0.0
+        return PPRBasis(sparse.csr_matrix(dense))
+
+    @staticmethod
+    def assert_bit_equal(basis, q):
+        got = basis.combine(q)
+        want = combine_rows(basis, q)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_dicts(self, seed):
+        basis = self.random_basis(seed)
+        rng = np.random.default_rng([seed, 4])
+        for size in (1, 2, 7, 30, 60):
+            keys = rng.choice(basis.num_tasks, size=size, replace=False)
+            weights = rng.uniform(size=size)
+            weights[rng.uniform(size=size) < 0.2] = 0.0
+            self.assert_bit_equal(
+                basis, dict(zip(keys.tolist(), weights.tolist()))
+            )
+            # unit-weight support, as the support-mass memo builds it
+            self.assert_bit_equal(basis, dict.fromkeys(keys.tolist(), 1.0))
+
+    def test_edge_dicts(self):
+        basis = self.random_basis(0)
+        empty = [
+            t for t in range(basis.num_tasks)
+            if basis._row_slice(t)[0].size == 0
+        ]
+        assert empty
+        for q in (
+            {},
+            {5: 0.5},
+            {5: 0.0},
+            {5: -0.0, 6: 0.0},
+            {empty[0]: 0.7},
+            {empty[0]: 0.7, 3: 0.2, empty[1]: 1.0},
+            {3: 0.2, 4: 0.0, 2: 1.0},
+        ):
+            self.assert_bit_equal(basis, q)
+
+    def test_real_basis(self, paper_graph):
+        basis = PPRBasis.compute(paper_graph.normalized, damping=0.5)
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            keys = rng.choice(paper_graph.num_tasks, size=5, replace=False)
+            q = dict(zip(keys.tolist(), rng.uniform(size=5).tolist()))
+            self.assert_bit_equal(basis, q)

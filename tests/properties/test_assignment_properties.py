@@ -10,7 +10,10 @@ from repro.core.assigner import (
     greedy_assign,
     scheme_value,
 )
+from repro.core.graph import SimilarityGraph
 from repro.core.optimal import bitmask_optimal, enumerate_optimal
+from repro.core.testing import PerformanceTester
+from tests.core import online_oracle
 from tests.core.scheme_oracle import (
     as_bits,
     assert_scheme_matches_reference,
@@ -86,6 +89,63 @@ def scheme_build_instance(draw):
         for t in range(num_tasks)
     ]
     return states, active, accuracies
+
+
+@st.composite
+def choice_instance(draw):
+    """A similarity graph (isolated tasks allowed), task states in any
+    order with up to 9 co-workers, accuracy vectors for some workers,
+    the requester ``"r"``'s observations and an uncertainty weight.
+
+    Values come from a coarse grid as often as not (score ties).
+    """
+    num_tasks = draw(st.integers(1, 10))
+    task = st.integers(0, num_tasks - 1)
+    edges = draw(
+        st.lists(st.tuples(task, task, st.floats(0.1, 1.0)), max_size=25)
+    )
+    workers = ["r"] + [f"w{i}" for i in range(draw(st.integers(0, 11)))]
+    value = st.one_of(
+        st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0)
+    )
+    estimated = draw(st.sets(st.sampled_from(workers)))
+    accuracies = {
+        w: np.array(
+            draw(st.lists(value, min_size=num_tasks, max_size=num_tasks))
+        )
+        for w in sorted(estimated)
+    }
+    crew = st.sets(st.sampled_from(workers), max_size=9)
+    states = [
+        TaskState(
+            task_id=t,
+            k=9,
+            assigned_workers=draw(crew),
+            tested_workers=draw(crew),
+            completed=draw(st.booleans()),
+        )
+        for t in draw(st.permutations(range(num_tasks)))
+    ]
+    observed = draw(st.dictionaries(task, value, max_size=num_tasks))
+    weight = draw(
+        st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+    )
+    tester = PerformanceTester(
+        SimilarityGraph.from_edges(num_tasks, edges),
+        observed_of=lambda w: observed,
+        uncertainty_weight=weight,
+    )
+    return tester, states, accuracies
+
+
+class TestArrayTestChoiceProperties:
+    @given(instance=choice_instance())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_candidate_oracle(self, instance):
+        tester, states, accuracies = instance
+        assert tester.choose_test_task(
+            "r", states, accuracies
+        ) == online_oracle.choose_test_task(tester, "r", states, accuracies)
 
 
 class TestArraySchemeBuildProperties:
