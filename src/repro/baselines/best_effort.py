@@ -11,6 +11,8 @@ estimation.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.framework import ICrowd
 from repro.core.types import Assignment, WorkerId
 
@@ -21,22 +23,13 @@ class BestEffort(ICrowd):
     def _choose_assignment(
         self, worker_id: WorkerId, actives: list[WorkerId]
     ) -> Assignment | None:
-        accuracies = self._estimates[worker_id]
-        best_task = None
-        best_value = -1.0
-        for state in self._states.values():
-            if state.completed or state.remaining == 0:
-                continue
-            if state.has_seen(worker_id):
-                continue
-            value = float(accuracies[state.task_id])
-            if value > best_value or (
-                value == best_value
-                and best_task is not None
-                and state.task_id < best_task
-            ):
-                best_value = value
-                best_task = state.task_id
-        if best_task is None:
+        board = self._board
+        unseen = board.marks_of([worker_id])[0] == 0
+        values = np.where(
+            (board.free > 0) & unseen, self._estimates[worker_id], -np.inf
+        )
+        # the first maximum is the lowest task id
+        best = int(np.argmax(values))
+        if np.isneginf(values[best]):
             return None
-        return Assignment(task_id=best_task, worker_id=worker_id)
+        return Assignment(task_id=best, worker_id=worker_id)

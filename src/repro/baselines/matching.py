@@ -27,7 +27,7 @@ class MatchingPolicy(ICrowd):
         self, worker_id: WorkerId, actives: list[WorkerId]
     ) -> Assignment | None:
         assignments = self._matcher.assign(
-            list(self._states.values()), actives, self._estimates
+            list(self._board.states.values()), actives, self._estimates
         )
         for assignment in assignments:
             if assignment.worker_id == worker_id:

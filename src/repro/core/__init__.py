@@ -3,6 +3,7 @@ primary contribution, Sections 3-5)."""
 
 from repro.core.assigner import (
     AdaptiveAssigner,
+    TaskBoard,
     TaskState,
     TopWorkerSet,
     compute_top_worker_set,
@@ -114,6 +115,7 @@ __all__ = [
     "SparseEstimateIndex",
     "StreamingAssigner",
     "Task",
+    "TaskBoard",
     "TaskId",
     "TaskResult",
     "TaskSet",

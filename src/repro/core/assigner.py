@@ -12,9 +12,11 @@ Implements:
 - **Algorithm 2** (``assign``): top-worker generation, greedy selection,
   then performance testing for idle workers.
 
-The online scheme build works on arrays: the top worker sets of every
-open task are ranked in one numpy pass (:class:`CandidateArrays`), and
-the greedy walk sorts the candidates once, then after each selection
+The online scheme build works on arrays: :class:`TaskBoard` keeps the
+free slots, completion flags and (worker, task) marks of every task as
+arrays updated per event, the top worker sets of every open task are
+ranked from them in one numpy pass (:class:`CandidateArrays`), and the
+greedy walk sorts the candidates once, then after each selection
 closes every later candidate that shares one of its workers.
 :class:`TopWorkerSet` objects are built only for the selected
 candidates.  :func:`compute_top_worker_sets` stays as the per-task
@@ -23,7 +25,7 @@ reference.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -104,6 +106,137 @@ class TaskState:
     def eligible(self, workers: Sequence[WorkerId]) -> list[WorkerId]:
         """Workers in ``W^u(t_i)`` = workers not already on this task."""
         return [w for w in workers if not self.has_seen(w)]
+
+
+#: Mark bits of :attr:`TaskBoard.marks`.
+HOLD = 1
+TESTED = 2
+
+
+class TaskBoard:
+    """The task states of a job, mirrored in arrays indexed by task id.
+
+    ``states`` keeps one :class:`TaskState` per task; the iteration
+    order of its ``assigned_workers`` is the order co-worker accuracies
+    are summed in.  The arrays have one entry per task id below
+    ``width`` (ids without a record stay 0 / False):
+
+    - ``free[t]``: ``k' = k - |W^d(t)|`` while ``t`` is open, else 0;
+    - ``crew[t]``: ``|W^d(t)|``;
+    - ``done[t]``: ``t`` is globally completed;
+    - ``marks[rows[w], t]``: bit :data:`HOLD` while ``w`` is in
+      ``W^d(t)``, bit :data:`TESTED` once ``w`` was tested on ``t``.
+      A worker gets a row when first marked; the last row stays all
+      zero and stands for every worker without one.
+
+    ``open_count`` is the number of records not completed.  A job
+    changes records only through :meth:`hold`, :meth:`test`,
+    :meth:`release` and :meth:`complete`, which keep the arrays equal
+    to the records.  Constructing a board from records that already
+    carry workers or completions packs them as they are.
+    """
+
+    def __init__(
+        self, states: Iterable[TaskState] = (), width: int | None = None
+    ) -> None:
+        self.states: dict[TaskId, TaskState] = {s.task_id: s for s in states}
+        records = list(self.states.values())
+        ids = np.array([s.task_id for s in records], dtype=np.int64)
+        if width is None:
+            width = int(ids.max(initial=-1)) + 1
+        self.free = np.zeros(width, dtype=np.int64)
+        self.crew = np.zeros(width, dtype=np.int64)
+        self.done = np.zeros(width, dtype=bool)
+        self.crew[ids] = [len(s.assigned_workers) for s in records]
+        self.done[ids] = [s.completed for s in records]
+        self.free[ids] = [0 if s.completed else s.remaining for s in records]
+        self.open_count = len(records) - int(self.done.sum())
+        self.rows: dict[WorkerId, int] = {}
+        rows: list[int] = []
+        cols: list[TaskId] = []
+        bits: list[int] = []
+        for s in records:
+            for bit, workers in (
+                (HOLD, s.assigned_workers),
+                (TESTED, s.tested_workers),
+            ):
+                for worker_id in workers:
+                    rows.append(self.rows.setdefault(worker_id, len(self.rows)))
+                    cols.append(s.task_id)
+                    bits.append(bit)
+        self.marks = np.zeros((len(self.rows) + 1, width), dtype=np.uint8)
+        np.bitwise_or.at(
+            self.marks, (rows, cols), np.array(bits, dtype=np.uint8)
+        )
+
+    @staticmethod
+    def of(states: TaskBoard | Sequence[TaskState]) -> TaskBoard:
+        """``states`` itself when it is a board, else a board packing it."""
+        return states if isinstance(states, TaskBoard) else TaskBoard(states)
+
+    def _row(self, worker_id: WorkerId) -> int:
+        """The worker's mark row; a new worker takes the spare row and a
+        fresh spare is appended (so ``marks`` is a new array)."""
+        row = self.rows.get(worker_id)
+        if row is None:
+            row = self.rows[worker_id] = len(self.rows)
+            spare = np.zeros((1, self.marks.shape[1]), dtype=np.uint8)
+            self.marks = np.concatenate([self.marks, spare])
+        return row
+
+    def marks_of(self, workers: Sequence[WorkerId]) -> np.ndarray:
+        """Mark rows of ``workers`` (workers × tasks); a worker without a
+        row gets the all-zero spare row: she has seen nothing."""
+        spare = len(self.rows)
+        return self.marks[[self.rows.get(w, spare) for w in workers]]
+
+    def hold(self, worker_id: WorkerId, task_id: TaskId) -> None:
+        """Add ``worker_id`` to ``W^d(task_id)`` (an issued slot or a
+        counted vote); a repeat changes nothing."""
+        state = self.states[task_id]
+        if worker_id in state.assigned_workers:
+            return
+        state.assigned_workers.add(worker_id)
+        row = self._row(worker_id)  # may replace self.marks: call first
+        self.marks[row, task_id] |= HOLD
+        self._recount(state)
+
+    def test(self, worker_id: WorkerId, task_id: TaskId) -> None:
+        """Record that ``worker_id`` saw ``task_id`` as a performance
+        test; ``free`` and ``crew`` do not change."""
+        state = self.states[task_id]
+        if worker_id in state.tested_workers:
+            return
+        state.tested_workers.add(worker_id)
+        row = self._row(worker_id)  # may replace self.marks: call first
+        self.marks[row, task_id] |= TESTED
+
+    def release(self, worker_id: WorkerId, task_id: TaskId) -> bool:
+        """Take ``worker_id`` out of ``W^d(task_id)``, clearing only her
+        hold bit.  Returns False when she was not in it."""
+        state = self.states[task_id]
+        if worker_id not in state.assigned_workers:
+            return False
+        state.assigned_workers.discard(worker_id)
+        self.marks[self.rows[worker_id], task_id] &= TESTED
+        self._recount(state)
+        return True
+
+    def complete(self, task_id: TaskId) -> None:
+        """Mark ``task_id`` globally completed; a repeat changes nothing."""
+        state = self.states[task_id]
+        if state.completed:
+            return
+        state.completed = True
+        self.done[task_id] = True
+        self.free[task_id] = 0
+        self.open_count -= 1
+
+    def _recount(self, state: TaskState) -> None:
+        crew = len(state.assigned_workers)
+        self.crew[state.task_id] = crew
+        if not state.completed:
+            self.free[state.task_id] = max(0, state.k - crew)
 
 
 def compute_top_worker_set(
@@ -201,54 +334,36 @@ class CandidateArrays:
 
 
 def compute_top_worker_sets_fast(
-    states: Sequence[TaskState],
+    states: TaskBoard | Sequence[TaskState],
     active_workers: Sequence[WorkerId],
     accuracies: Mapping[WorkerId, np.ndarray],
 ) -> CandidateArrays:
     """Array equivalent of :func:`compute_top_worker_sets`.
 
-    One pass over ``states`` collects the open tasks, their free slots
-    ``k'`` and the (worker, task) pairs already seen.  The seen pairs
-    are masked out of a workers × open-tasks accuracy matrix whose rows
-    are sorted by worker id, and each rank is filled for every task at
-    once by an ``argmax`` over the rows, which returns the lowest row
-    among equal maxima: the reference ``(-accuracy, worker_id)``
-    tie-break.  Candidates hold the same workers and bit-identical
-    accuracies as the reference's, in the same task order.  Active
-    workers must be distinct.
+    The active workers' mark rows, sorted by worker id, give every
+    task's eligible count, and ``min(free, eligible)`` its set size.
+    Over the tasks with a positive size, the seen (worker, task) pairs
+    are masked out of the workers × tasks accuracy matrix, and each
+    rank is filled for every task at once by an ``argmax`` over the
+    rows, which returns the lowest row among equal maxima: the
+    reference ``(-accuracy, worker_id)`` tie-break.  Candidates hold
+    the same workers and bit-identical accuracies as the reference's,
+    in ascending task id order.  A sequence of task states is packed
+    into a :class:`TaskBoard` first.  Active workers must be distinct.
     """
+    board = TaskBoard.of(states)
     workers = tuple(sorted(active_workers))
-    row_of = {w: r for r, w in enumerate(workers)}
-    task_ids: list[TaskId] = []
-    slots: list[int] = []
-    seen_rows: list[int] = []
-    seen_cols: list[int] = []
-    for state in states:
-        free = state.k - len(state.assigned_workers)
-        if state.completed or free <= 0:
-            continue
-        col = len(task_ids)
-        task_ids.append(state.task_id)
-        slots.append(free)
-        seen = state.assigned_workers
-        if state.tested_workers:
-            seen = seen | state.tested_workers
-        for worker_id in seen:
-            row = row_of.get(worker_id)
-            if row is not None:
-                seen_rows.append(row)
-                seen_cols.append(col)
-    if not workers or not task_ids:
+    seen = board.marks_of(workers) != 0
+    eligible = len(workers) - np.count_nonzero(seen, axis=0)
+    sizes = np.minimum(board.free, eligible)
+    ids = np.flatnonzero(sizes > 0)
+    if not len(ids):
         return CandidateArrays.pack([])
-    ids = np.array(task_ids, dtype=np.int64)
+    sizes = sizes[ids]
     scores = np.stack([accuracies[w] for w in workers])[:, ids]
     scores = scores.astype(np.float64, copy=False)
-    scores[seen_rows, seen_cols] = -np.inf
-    eligible = len(workers) - np.bincount(seen_cols, minlength=len(ids))
-    sizes = np.minimum(np.array(slots, dtype=np.int64), eligible)
-    keep = sizes > 0
-    scores, sizes = scores[:, keep], sizes[keep]
-    width = int(sizes.max(initial=0))
+    scores[seen[:, ids]] = -np.inf
+    width = int(sizes.max())
     cols = np.arange(len(sizes))
     members = np.empty((width, len(sizes)), dtype=np.intp)
     ranked = np.empty((width, len(sizes)))
@@ -261,7 +376,7 @@ def compute_top_worker_sets_fast(
     members[padding] = len(workers)
     ranked[padding] = 0.0
     return CandidateArrays(
-        task_ids=ids[keep],
+        task_ids=ids,
         workers=workers,
         members=members,
         accuracies=ranked,
@@ -370,7 +485,7 @@ class AdaptiveAssigner:
 
     def _compute_scheme(
         self,
-        states: Sequence[TaskState],
+        board: TaskBoard,
         active_workers: Sequence[WorkerId],
         accuracies: Mapping[WorkerId, np.ndarray],
     ) -> list[TopWorkerSet]:
@@ -382,7 +497,7 @@ class AdaptiveAssigner:
         ).inc()
         with self.recorder.span("assigner.scheme"):
             candidates = compute_top_worker_sets_fast(
-                states, active_workers, accuracies
+                board, active_workers, accuracies
             )
             return greedy_assign(candidates)
 
@@ -392,7 +507,7 @@ class AdaptiveAssigner:
 
     def _scheme_for_round(
         self,
-        states: Sequence[TaskState],
+        board: TaskBoard,
         active_workers: Sequence[WorkerId],
         accuracies: Mapping[WorkerId, np.ndarray],
         epoch: int | None,
@@ -408,7 +523,7 @@ class AdaptiveAssigner:
                 "Worker requests served from the cached round scheme.",
             ).inc()
             return self._round_cache
-        scheme = self._compute_scheme(states, active_workers, accuracies)
+        scheme = self._compute_scheme(board, active_workers, accuracies)
         cache = _RoundCache(
             key=key,
             scheme=scheme,
@@ -429,7 +544,7 @@ class AdaptiveAssigner:
 
     def assign(
         self,
-        states: Sequence[TaskState],
+        states: TaskBoard | Sequence[TaskState],
         active_workers: Sequence[WorkerId],
         accuracies: Mapping[WorkerId, np.ndarray],
     ) -> list[Assignment]:
@@ -437,9 +552,11 @@ class AdaptiveAssigner:
 
         Returns one :class:`Assignment` per (worker, task) pair in the
         greedy scheme, plus test assignments (``is_test=True``) for
-        workers left idle when a tester is configured.
+        workers left idle when a tester is configured.  A sequence of
+        task states is packed into a :class:`TaskBoard` once.
         """
-        scheme = self._compute_scheme(states, active_workers, accuracies)
+        board = TaskBoard.of(states)
+        scheme = self._compute_scheme(board, active_workers, accuracies)
         assignments: list[Assignment] = []
         assigned_workers: set[WorkerId] = set()
         for selected in scheme:
@@ -453,7 +570,7 @@ class AdaptiveAssigner:
                 if worker_id in assigned_workers:
                     continue
                 test_task = self.tester.choose_test_task(
-                    worker_id, states, accuracies
+                    worker_id, board, accuracies
                 )
                 if test_task is not None:
                     assignments.append(
@@ -468,7 +585,7 @@ class AdaptiveAssigner:
     def assign_for_worker(
         self,
         worker_id: WorkerId,
-        states: Sequence[TaskState],
+        states: TaskBoard | Sequence[TaskState],
         active_workers: Sequence[WorkerId],
         accuracies: Mapping[WorkerId, np.ndarray],
         epoch: int | None = None,
@@ -481,12 +598,14 @@ class AdaptiveAssigner:
         scheme; falls back to a performance test otherwise.  When the
         caller supplies its invalidation ``epoch``, the scheme is
         computed once per (epoch, active set) round and each request is
-        served from the cached scheme.
+        served from the cached scheme.  A sequence of task states is
+        packed into a :class:`TaskBoard` once.
         """
         if worker_id not in active_workers:
             raise ValueError(f"worker {worker_id!r} is not active")
+        board = TaskBoard.of(states)
         cache = self._scheme_for_round(
-            states, active_workers, accuracies, epoch
+            board, active_workers, accuracies, epoch
         )
         if worker_id in cache.served:
             # the worker re-requests while still holding her scheme slot:
@@ -494,7 +613,7 @@ class AdaptiveAssigner:
             # held task, so a fresh scheme may place her elsewhere).
             self._round_cache = None
             cache = self._scheme_for_round(
-                states, active_workers, accuracies, epoch
+                board, active_workers, accuracies, epoch
             )
         selected = cache.by_worker.get(worker_id)
         if selected is not None:
@@ -508,7 +627,7 @@ class AdaptiveAssigner:
         if self.tester is None:
             return None
         test_task = self.tester.choose_test_task(
-            worker_id, states, accuracies
+            worker_id, board, accuracies
         )
         if test_task is None:
             return None

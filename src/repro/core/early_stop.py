@@ -69,8 +69,7 @@ class EarlyStopICrowd(ICrowd):
         super().on_answer(worker_id, task_id, label, is_test)
         if is_test or task_id in self.warmup.qualification_truth:
             return
-        state = self._states[task_id]
-        if state.completed:
+        if self._board.states[task_id].completed:
             return
         vote_state = self._votes[task_id]
         if len(vote_state.answers) < self.min_votes:
@@ -82,7 +81,7 @@ class EarlyStopICrowd(ICrowd):
         posterior_yes = verification_posterior(votes)
         confidence = max(posterior_yes, 1.0 - posterior_yes)
         if confidence >= self.confidence_threshold:
-            state.completed = True
+            self._board.complete(task_id)
             self._consensus[task_id] = (
                 Label.YES if posterior_yes > 0.5 else Label.NO
             )

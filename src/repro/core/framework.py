@@ -23,7 +23,7 @@ from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.assigner import AdaptiveAssigner, TaskState
+from repro.core.assigner import AdaptiveAssigner, TaskBoard, TaskState
 from repro.core.config import ICrowdConfig
 from repro.core.estimator import AccuracyEstimator
 from repro.core.graph import SimilarityGraph
@@ -120,9 +120,10 @@ class ICrowd:
             for t in tasks.ids()
             if t not in truth
         }
-        self._states: dict[TaskId, TaskState] = {
-            t: TaskState(task_id=t, k=k) for t in self._votes
-        }
+        self._board = TaskBoard(
+            [TaskState(task_id=t, k=k) for t in self._votes],
+            width=len(tasks),
+        )
         self._consensus: dict[TaskId, Label] = {}
         self._answers: dict[WorkerId, list[Answer]] = {}
         self._test_answers: dict[WorkerId, list[Answer]] = {}
@@ -195,11 +196,10 @@ class ICrowd:
         self._refresh_estimates(actives)
         assignment = self._choose_assignment(worker_id, actives)
         if assignment is not None:
-            state = self._states[assignment.task_id]
             if assignment.is_test:
-                state.tested_workers.add(worker_id)
+                self._board.test(worker_id, assignment.task_id)
             else:
-                state.assigned_workers.add(worker_id)
+                self._board.hold(worker_id, assignment.task_id)
                 self._pending[(worker_id, assignment.task_id)] = self._clock
         return assignment
 
@@ -232,17 +232,19 @@ class ICrowd:
             return outcome
         if is_test:
             self._test_answers.setdefault(worker_id, []).append(answer)
-            self._states[task_id].tested_workers.add(worker_id)
+            self._board.test(worker_id, task_id)
             self._dirty.add(worker_id)
             return outcome
         vote_state = self._votes[task_id]
         vote_state.add(answer)
         self._answers.setdefault(worker_id, []).append(answer)
         self._pending.pop((worker_id, task_id), None)
-        state = self._states[task_id]
-        state.assigned_workers.add(worker_id)
-        if vote_state.is_complete() and not state.completed:
-            state.completed = True
+        self._board.hold(worker_id, task_id)
+        if (
+            vote_state.is_complete()
+            and not self._board.states[task_id].completed
+        ):
+            self._board.complete(task_id)
             self._consensus[task_id] = self._consensus_label(vote_state)
             # a fresh consensus re-grades everyone who voted on the task
             for vote in vote_state.answers:
@@ -268,7 +270,7 @@ class ICrowd:
                 AnswerOutcome.DUPLICATE if already else AnswerOutcome.ACCEPTED
             )
         vote_state = self._votes[task_id]
-        state = self._states[task_id]
+        state = self._board.states[task_id]
         if (
             worker_id in vote_state.workers()
             or worker_id in state.tested_workers
@@ -292,7 +294,7 @@ class ICrowd:
         """
         return self.assigner.assign_for_worker(
             worker_id,
-            list(self._states.values()),
+            self._board,
             actives,
             self._estimates,
             epoch=self._assign_epoch,
@@ -388,9 +390,8 @@ class ICrowd:
         """
         if self._pending.pop((worker_id, task_id), None) is None:
             return False
-        state = self._states.get(task_id)
-        if state is not None:
-            state.assigned_workers.discard(worker_id)
+        if task_id in self._board.states:
+            self._board.release(worker_id, task_id)
         self._assign_epoch += 1
         return True
 
@@ -428,11 +429,12 @@ class ICrowd:
 
     def uncompleted_tasks(self) -> list[TaskId]:
         """Tasks not yet globally completed (qualification excluded)."""
-        return [t for t, s in self._states.items() if not s.completed]
+        return [t for t, s in self._board.states.items() if not s.completed]
 
     def completed_tasks(self) -> list[TaskId]:
         """Globally completed non-qualification tasks (platform hook)."""
-        return [t for t, s in self._states.items() if s.completed]
+        completed: list[TaskId] = np.flatnonzero(self._board.done).tolist()
+        return completed
 
     def is_worker_rejected(self, worker_id: WorkerId) -> bool:
         """Whether warm-up eliminated this worker (platform hook)."""
@@ -440,7 +442,7 @@ class ICrowd:
 
     def is_finished(self) -> bool:
         """True once every non-qualification task reached consensus."""
-        return all(state.completed for state in self._states.values())
+        return self._board.open_count == 0
 
     def predictions(self) -> dict[TaskId, Label]:
         """Current results: consensus where complete, else running

@@ -17,7 +17,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.assigner import AdaptiveAssigner, TaskState
+from repro.core.assigner import AdaptiveAssigner, TaskBoard, TaskState
 from repro.core.config import ICrowdConfig
 from repro.core.estimator import AccuracyEstimator
 from repro.core.graph import SimilarityGraph
@@ -115,9 +115,10 @@ class MultiICrowd:
             for t in tasks
             if t.task_id not in truth
         }
-        self._states: dict[TaskId, TaskState] = {
-            t: TaskState(task_id=t, k=k) for t in self._votes
-        }
+        self._board = TaskBoard(
+            [TaskState(task_id=t, k=k) for t in self._votes],
+            width=len(tasks),
+        )
         self._consensus: dict[TaskId, Choice] = {}
         self._answers: dict[WorkerId, list[tuple[TaskId, Choice]]] = {}
         self._estimates: dict[WorkerId, np.ndarray] = {}
@@ -157,15 +158,14 @@ class MultiICrowd:
         ]
         self._refresh_estimates(actives)
         assignment = self.assigner.assign_for_worker(
-            worker_id, list(self._states.values()), actives,
+            worker_id, self._board, actives,
             self._estimates, epoch=self._assign_epoch,
         )
         if assignment is not None:
-            state = self._states[assignment.task_id]
             if assignment.is_test:
-                state.tested_workers.add(worker_id)
+                self._board.test(worker_id, assignment.task_id)
             else:
-                state.assigned_workers.add(worker_id)
+                self._board.hold(worker_id, assignment.task_id)
         return assignment
 
     def on_answer(
@@ -192,14 +192,14 @@ class MultiICrowd:
             self._dirty.add(worker_id)
             return AnswerOutcome.ACCEPTED
         vote_state = self._votes[task_id]
-        state = self._states[task_id]
+        state = self._board.states[task_id]
         if is_test:
             if worker_id in state.tested_workers and any(
                 t == task_id for t, _ in self._answers.get(worker_id, ())
             ):
                 return AnswerOutcome.DUPLICATE
             self._assign_epoch += 1
-            state.tested_workers.add(worker_id)
+            self._board.test(worker_id, task_id)
         else:
             if worker_id in state.tested_workers or any(
                 w == worker_id for w, _ in vote_state.answers
@@ -213,9 +213,9 @@ class MultiICrowd:
                 return AnswerOutcome.IGNORED
             self._assign_epoch += 1
             vote_state.add(worker_id, choice)
-            state.assigned_workers.add(worker_id)
+            self._board.hold(worker_id, task_id)
             if vote_state.is_complete() and not state.completed:
-                state.completed = True
+                self._board.complete(task_id)
                 self._consensus[task_id] = vote_state.consensus()
                 for voter, _ in vote_state.answers:
                     self._dirty.add(voter)
@@ -274,14 +274,12 @@ class MultiICrowd:
         Returns False when there is nothing to release — the vote
         already landed, or the worker never held the slot.
         """
-        state = self._states.get(task_id)
-        if state is None:
+        if task_id not in self._board.states:
             return False
         if any(w == worker_id for w, _ in self._votes[task_id].answers):
             return False
-        if worker_id not in state.assigned_workers:
+        if not self._board.release(worker_id, task_id):
             return False
-        state.assigned_workers.discard(worker_id)
         self._assign_epoch += 1
         return True
 
@@ -300,11 +298,12 @@ class MultiICrowd:
 
     def is_finished(self) -> bool:
         """True once every non-qualification task reached k votes."""
-        return all(s.completed for s in self._states.values())
+        return self._board.open_count == 0
 
     def completed_tasks(self) -> list[TaskId]:
         """Globally completed task ids."""
-        return [t for t, s in self._states.items() if s.completed]
+        completed: list[TaskId] = np.flatnonzero(self._board.done).tolist()
+        return completed
 
     def is_worker_rejected(self, worker_id: WorkerId) -> bool:
         """Whether warm-up eliminated this worker."""

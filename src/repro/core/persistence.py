@@ -34,6 +34,7 @@ import pathlib
 import numpy as np
 from scipy import sparse
 
+from repro.core.assigner import TaskBoard, TaskState
 from repro.core.config import ICrowdConfig
 from repro.core.estimator import AccuracyEstimator
 from repro.core.framework import ICrowd
@@ -178,7 +179,7 @@ def checkpoint_state(framework: ICrowd) -> dict:
                 "tested": sorted(s.tested_workers),
                 "completed": s.completed,
             }
-            for t, s in framework._states.items()
+            for t, s in framework._board.states.items()
         },
         "warmup": warmup_states,
     }
@@ -228,11 +229,24 @@ def restore_state(framework: ICrowd, payload: dict) -> ICrowd:
         (worker, int(task)): int(issued)
         for worker, task, issued in payload.get("pending", [])
     }
+    # replay every record into a fresh board through its writers, in
+    # sorted order: a restored set iterates as ``set(sorted_list)`` does
+    board = TaskBoard(
+        [
+            TaskState(task_id=s.task_id, k=s.k)
+            for s in framework._board.states.values()
+        ],
+        width=len(framework._board.free),
+    )
     for t, entry in payload["states"].items():
-        state = framework._states[int(t)]
-        state.assigned_workers = set(entry["assigned"])
-        state.tested_workers = set(entry["tested"])
-        state.completed = bool(entry["completed"])
+        task_id = int(t)
+        for worker in sorted(entry["assigned"]):
+            board.hold(worker, task_id)
+        for worker in sorted(entry["tested"]):
+            board.test(worker, task_id)
+        if entry["completed"]:
+            board.complete(task_id)
+    framework._board = board
     framework.warmup._states = {
         worker: WarmUpState(
             pending=[int(t) for t in entry["pending"]],

@@ -23,16 +23,14 @@ estimated accuracy of the existing workers.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
-from typing import TYPE_CHECKING, overload
+from typing import overload
 
 import numpy as np
 
+from repro.core.assigner import TaskBoard, TaskState
 from repro.core.graph import SimilarityGraph
 from repro.core.ppr import csr_row_positions
 from repro.core.types import TaskId, WorkerId
-
-if TYPE_CHECKING:
-    from repro.core.assigner import TaskState
 
 #: Maximum variance of a Beta(a, b) with a, b >= 1 (attained at a=b=1).
 _MAX_BETA_VARIANCE = 1.0 / 12.0
@@ -133,7 +131,7 @@ class PerformanceTester:
     def choose_test_task(
         self,
         worker_id: WorkerId,
-        states: Sequence["TaskState"],
+        states: TaskBoard | Sequence[TaskState],
         accuracies: Mapping[WorkerId, np.ndarray],
     ) -> TaskId | None:
         """Best test task for an idle worker, or None when nothing fits.
@@ -148,36 +146,32 @@ class PerformanceTester:
         observed-correct and observed-incorrect counts over ``{t} ∪
         N(t)``.  Ties go to the lowest task id.
 
-        One pass over ``states`` keeps the candidates and sums each one's
-        co-worker accuracies left to right, in the iteration order of
-        ``assigned_workers``.  The rest runs on candidate arrays: the
-        neighbourhood counts are ``np.bincount`` sums, which also add
-        left to right, in the order of :meth:`_neighbourhoods`
-        (unobserved members add +0.0).  The score keeps the operation
-        order of the formula above.
+        The candidates are the tasks with ``crew > 0`` on which the
+        worker's marks are zero, in ascending id order (a sequence of
+        task states is packed into a :class:`TaskBoard` first).  Each
+        one's co-worker accuracies are summed left to right, in the
+        iteration order of ``assigned_workers``.  The rest runs on
+        candidate arrays: the neighbourhood counts are ``np.bincount``
+        sums, which also add left to right, in the order of
+        :meth:`_neighbourhoods` (unobserved members add +0.0).  The
+        score keeps the operation order of the formula above.
         """
         observed = self.observed_of(worker_id)
         prior = self.prior_accuracy
-        candidates: list[TaskId] = []
+        board = TaskBoard.of(states)
+        unseen = board.marks_of([worker_id])[0] == 0
+        task_ids = np.flatnonzero((board.crew > 0) & unseen)
+        if not len(task_ids):
+            return None
+        candidates: list[TaskId] = task_ids.tolist()
         quality: list[float] = []
-        for state in states:
-            assigned = state.assigned_workers
-            if (
-                not assigned
-                or worker_id in assigned
-                or worker_id in state.tested_workers
-            ):
-                continue
-            task_id = state.task_id
+        for task_id in candidates:
+            assigned = board.states[task_id].assigned_workers
             summed = 0.0
             for other in assigned:
                 vector = accuracies.get(other)
                 summed += prior if vector is None else float(vector[task_id])
-            candidates.append(task_id)
             quality.append(summed / len(assigned))
-        if not candidates:
-            return None
-        task_ids = np.array(candidates, dtype=np.int64)
 
         bounds, members = self._neighbourhoods()
         positions, lengths = csr_row_positions(bounds, task_ids)

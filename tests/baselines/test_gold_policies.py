@@ -1,9 +1,11 @@
 """Unit tests for AvgAccPV, QF-Only and BestEffort baselines."""
 
+import numpy as np
 import pytest
 
 from repro.baselines import AvgAccPV, BestEffort, QFOnly
 from repro.core.types import Label
+from tests.core.board_oracle import assert_board_matches_records
 
 
 class TestAvgAccPV:
@@ -102,7 +104,62 @@ class TestQFOnly:
         assert assignment is not None
 
 
+def best_effort_oracle(states, worker_id, accuracies):
+    """The per-state loop ``BestEffort`` ran before the task board: the
+    open, unfilled, unseen task with the highest estimate, the lowest
+    task id among equal ones, in whatever order ``states`` come."""
+    best_task = None
+    best_value = -1.0
+    for state in states:
+        if state.completed or state.remaining == 0:
+            continue
+        if state.has_seen(worker_id):
+            continue
+        value = float(accuracies[state.task_id])
+        if value > best_value or (
+            value == best_value
+            and best_task is not None
+            and state.task_id < best_task
+        ):
+            best_value = value
+            best_task = state.task_id
+    return best_task
+
+
 class TestBestEffort:
+    def test_board_choice_matches_loop_oracle(self, variant_kwargs):
+        """Seeded boards with accuracy ties, seen (held or tested),
+        full and completed tasks: the array choice equals the loop's."""
+        workers = [f"w{i}" for i in range(5)]
+        grid = np.array([0.25, 0.5, 0.75])
+        choices = []
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            policy = BestEffort(**variant_kwargs)
+            board = policy._board
+            ids = list(board.states)
+            closing = [0.05, 0.5, 0.95][seed % 3]
+            for _ in range(int(rng.integers(0, 60))):
+                worker = workers[int(rng.integers(0, len(workers)))]
+                task_id = ids[int(rng.integers(0, len(ids)))]
+                [board.hold, board.test, board.release][
+                    int(rng.integers(0, 3))
+                ](worker, task_id)
+                if rng.random() < closing:
+                    board.complete(task_id)
+            assert_board_matches_records(board)
+            states = list(board.states.values())
+            rng.shuffle(states)
+            for worker in workers + ["fresh"]:
+                vector = grid[rng.integers(0, 3, size=len(board.free))]
+                policy._estimates[worker] = vector
+                chosen = policy._choose_assignment(worker, [worker])
+                expected = best_effort_oracle(states, worker, vector)
+                assert (chosen and chosen.task_id) == expected
+                choices.append(expected)
+        assert None in choices
+        assert len(set(choices)) > 5
+
     def test_assigns_workers_own_best_task(self, variant_kwargs, paper_tasks):
         policy = BestEffort(**variant_kwargs)
         warmup(policy, paper_tasks, "w1")

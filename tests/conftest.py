@@ -99,10 +99,12 @@ def chaos_event_log(tmp_path):
     """Runs one seeded ``ICrowd`` simulation (60 tasks in 3 domains, 14
     workers, chaos faults and abandonment, 500 steps) and returns its
     ``EventLog.to_jsonl`` bytes with the policy; call it once per
-    variant of the program to compare."""
+    variant of the program to compare.  The run's task board must
+    still equal its records at the end."""
     from repro.core import ICrowd
     from repro.platform import FaultConfig, SimulatedPlatform
     from repro.workers import WorkerPool, generate_profiles
+    from tests.core.board_oracle import assert_board_matches_records
 
     seed = 6
     rng = np.random.default_rng([seed, 1])
@@ -138,6 +140,7 @@ def chaos_event_log(tmp_path):
             seed=seed,
         )
         report = platform.run(max_steps=500)
+        assert_board_matches_records(policy._board)
         path = tmp_path / f"{name}.jsonl"
         report.events.to_jsonl(path)
         return path.read_bytes(), policy

@@ -49,11 +49,13 @@ def as_bits(sets):
 def assert_scheme_matches_reference(states, active_workers, accuracies):
     """The array build's top sets and scheme equal the reference top
     sets and the heap walk, element by element, floats bit-equal; a
-    plain candidate list takes the same walk."""
+    plain candidate list takes the same walk.  The array build emits
+    its candidates in ascending task id order, the reference in the
+    order of ``states``."""
     fast = compute_top_worker_sets_fast(states, active_workers, accuracies)
     slow = compute_top_worker_sets(states, active_workers, accuracies)
     assert as_bits(fast.top_set(i) for i in range(len(fast))) == as_bits(
-        slow
+        sorted(slow, key=lambda c: c.task_id)
     )
     oracle = as_bits(heap_greedy_assign(slow))
     assert as_bits(greedy_assign(fast)) == oracle

@@ -22,7 +22,7 @@ class TestReleaseAssignment:
     def test_release_reopens_slot(self, framework):
         assignment = framework.on_worker_request("w1")
         task_id = assignment.task_id
-        state = framework._states[task_id]
+        state = framework._board.states[task_id]
         assert "w1" in state.assigned_workers
         assert framework.release_assignment("w1", task_id) is True
         assert "w1" not in state.assigned_workers

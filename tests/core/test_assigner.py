@@ -270,7 +270,8 @@ class TestArraySchemeBuild:
         builds = policy.assigner.scheme_computations
         oracle_builds = []
 
-        def reference_top_sets(states, active, acc):
+        def reference_top_sets(board, active, acc):
+            states = list(board.states.values())
             oracle_builds.append(len(states))
             return compute_top_worker_sets(states, active, acc)
 

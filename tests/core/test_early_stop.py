@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.early_stop import EarlyStopICrowd
 from repro.core.types import Label
+from tests.core.board_oracle import assert_board_matches_records
 
 
 @pytest.fixture
@@ -32,6 +33,9 @@ class TestEarlyStop:
         framework.on_answer("w2", 5, Label.YES)
         assert 5 in framework.completed_tasks()
         assert framework.predictions()[5] is Label.YES
+        # completed with 2 of k = 3 votes: the slot left is closed too
+        assert framework._board.free[5] == 0
+        assert_board_matches_records(framework._board)
 
     def test_disagreement_defers_to_more_votes(self, framework):
         framework.estimate_for("w1")

@@ -7,6 +7,7 @@ from repro.core.config import GraphConfig, ICrowdConfig, QualificationConfig
 from repro.core.framework_multi import MultiICrowd, MultiTask
 from repro.utils.rng import spawn_rng
 from tests.core import online_oracle
+from tests.core.board_oracle import assert_board_matches_records
 
 CHOICES = ("cat", "dog", "bird")
 
@@ -114,6 +115,7 @@ class TestFlow:
         outcome = framework.on_answer("w1", task_id, "dog")
         assert outcome is AnswerOutcome.DUPLICATE
         assert framework._votes[task_id].answers == votes_before
+        assert_board_matches_records(framework._board)
 
     def test_plurality_completion(self, framework):
         for worker in ("w1", "w2", "w3"):
@@ -225,7 +227,8 @@ class TestFlow:
                     else CHOICES[int(rng.integers(0, 3))],
                     assignment.is_test,
                 )
-            states = list(framework._states.values())
+            assert_board_matches_records(framework._board)
+            states = list(framework._board.states.values())
             estimates = framework._estimates
             for other in workers:
                 chosen = tester.choose_test_task(other, states, estimates)

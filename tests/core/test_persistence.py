@@ -14,6 +14,7 @@ from repro.core.persistence import (
     save_checkpoint,
 )
 from repro.core.types import Label
+from tests.core.board_oracle import assert_board_matches_records
 
 
 @pytest.fixture
@@ -130,6 +131,33 @@ class TestRoundTrip:
         restored.on_answer("w2", 7, Label.NO)
         restored.on_answer("w3", 7, Label.NO)
         assert 7 in restored.completed_tasks()
+
+    def test_restored_board_replays_records_in_sorted_order(
+        self, live_framework, paper_tasks, paper_graph, tiny_config,
+        tmp_path,
+    ):
+        """Each restored worker set iterates as ``set(sorted_list)``
+        (the co-worker summation order), and the board's arrays equal
+        the restored records."""
+        crowd = [f"x{i:02d}" for i in range(40)]
+        board = live_framework._board
+        for worker in reversed(crowd):
+            board.test(worker, 9)
+        for worker in crowd[::3]:
+            board.hold(worker, 9)
+        restored = rebuild(
+            live_framework, paper_tasks, paper_graph, tiny_config,
+            tmp_path,
+        )
+        for task_id, state in live_framework._board.states.items():
+            again = restored._board.states[task_id]
+            for field in ("assigned_workers", "tested_workers"):
+                order = list(getattr(again, field))
+                # repro-lint: disable=RL003 -- the set order is the check
+                expected = list(set(sorted(getattr(state, field))))
+                assert order == expected
+            assert again.completed == state.completed
+        assert_board_matches_records(restored._board)
 
 
 class TestValidation:

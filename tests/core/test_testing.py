@@ -356,10 +356,10 @@ class TestLoopMatchesOracle:
         production, _ = chaos_event_log("production")
         choices = []
 
-        def oracle_choice(self, worker_id, states, accuracies):
+        def oracle_choice(self, worker_id, board, accuracies):
             choices.append(worker_id)
             return oracle.choose_test_task(
-                self, worker_id, states, accuracies
+                self, worker_id, list(board.states.values()), accuracies
             )
 
         original_combine = PPRBasis.combine

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.assigner import (
+    TaskBoard,
     TaskState,
     TopWorkerSet,
     greedy_assign,
@@ -14,6 +15,7 @@ from repro.core.graph import SimilarityGraph
 from repro.core.optimal import bitmask_optimal, enumerate_optimal
 from repro.core.testing import PerformanceTester
 from tests.core import online_oracle
+from tests.core.board_oracle import assert_board_matches_records
 from tests.core.scheme_oracle import (
     as_bits,
     assert_scheme_matches_reference,
@@ -136,6 +138,65 @@ def choice_instance(draw):
         uncertainty_weight=weight,
     )
     return tester, states, accuracies
+
+
+@st.composite
+def board_script(draw):
+    """Task records (some ids have none, as qualification tasks do) and
+    a script of board writes with repeats and no-ops; at least three
+    workers are first marked mid-script, so the mark rows grow."""
+    width = draw(st.integers(1, 6))
+    ids = sorted(draw(st.sets(st.integers(0, width - 1), min_size=1)))
+    ks = {t: draw(st.integers(0, 3)) for t in ids}
+    workers = [f"w{i}" for i in range(draw(st.integers(3, 7)))]
+    step = st.tuples(
+        st.sampled_from(["hold", "test", "release", "complete"]),
+        st.sampled_from(workers),
+        st.sampled_from(ids),
+    )
+    script = draw(st.lists(step, max_size=40))
+    for worker in workers[:3]:
+        first = (
+            draw(st.sampled_from(["hold", "test"])),
+            worker,
+            draw(st.sampled_from(ids)),
+        )
+        script.insert(draw(st.integers(0, len(script))), first)
+    return width, ks, script
+
+
+class TestTaskBoardProperties:
+    @given(instance=board_script())
+    @settings(max_examples=150, deadline=None)
+    def test_arrays_equal_the_records_after_every_write(self, instance):
+        width, ks, script = instance
+        board = TaskBoard(
+            [TaskState(task_id=t, k=k) for t, k in ks.items()], width=width
+        )
+        held = {t: set() for t in ks}
+        tested = {t: set() for t in ks}
+        done = set()
+        assert_board_matches_records(board)
+        for op, worker, task_id in script:
+            if op == "hold":
+                board.hold(worker, task_id)
+                held[task_id].add(worker)
+            elif op == "test":
+                board.test(worker, task_id)
+                tested[task_id].add(worker)
+            elif op == "release":
+                released = board.release(worker, task_id)
+                assert released == (worker in held[task_id])
+                held[task_id].discard(worker)
+            else:
+                board.complete(task_id)
+                done.add(task_id)
+            assert_board_matches_records(board)
+            assert {
+                t: (s.assigned_workers, s.tested_workers, s.completed)
+                for t, s in board.states.items()
+            } == {t: (held[t], tested[t], t in done) for t in ks}
+        assert len(board.rows) >= 3
 
 
 class TestArrayTestChoiceProperties:

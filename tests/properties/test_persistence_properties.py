@@ -22,6 +22,7 @@ from repro.core.framework import ICrowd
 from repro.core.graph import SimilarityGraph
 from repro.core.persistence import checkpoint_state, restore_state
 from repro.core.types import Label, Task, TaskSet
+from tests.core.board_oracle import assert_board_matches_records
 
 WORKERS = ["w1", "w2", "w3", "w4"]
 
@@ -107,6 +108,7 @@ class TestCheckpointTransparency:
 
         # restarted copy: restore from the checkpoint, then continue
         restored = restore_state(build(tasks, config, graph), payload)
+        assert_board_matches_records(restored._board)
         play(restored, tasks, suffix)
 
         assert observables(restored) == observables(reference)
