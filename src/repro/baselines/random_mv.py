@@ -64,11 +64,10 @@ class RandomMV:
             for t in tasks.ids()
             if t not in self.excluded
         }
-        #: outstanding (worker, task) slots → policy-clock tick issued
-        self._pending: dict[tuple[WorkerId, TaskId], int] = {}
+        #: outstanding (worker, task) slots
+        self._pending: set[tuple[WorkerId, TaskId]] = set()
         self._holding: dict[TaskId, int] = {t: 0 for t in self._votes}
         self._seq = 0
-        self._clock = 0
 
     # ------------------------------------------------------------------
     def _eligible_tasks(self, worker_id: WorkerId) -> list[TaskId]:
@@ -93,12 +92,11 @@ class RandomMV:
         active_workers: Iterable[WorkerId] | None = None,
     ) -> Assignment | None:
         """Serve a uniformly random eligible task."""
-        self._clock += 1
         eligible = self._eligible_tasks(worker_id)
         if not eligible:
             return None
         task_id = eligible[int(self._rng.integers(0, len(eligible)))]
-        self._pending[(worker_id, task_id)] = self._clock
+        self._pending.add((worker_id, task_id))
         self._holding[task_id] += 1
         self.recorder.counter(
             "repro_policy_assignments_total",
@@ -121,13 +119,11 @@ class RandomMV:
         """
         if task_id in self.excluded:
             return AnswerOutcome.IGNORED
-        self._clock += 1
         votes = self._votes[task_id]
         if worker_id in votes.workers():
             return AnswerOutcome.DUPLICATE
-        held = self._pending.pop((worker_id, task_id), None)
-        if held is not None:
-            self._holding[task_id] -= 1
+        # the answer ends the worker's hold on the slot
+        self.release_assignment(worker_id, task_id)
         if votes.is_complete():
             return AnswerOutcome.IGNORED
         self._seq += 1
@@ -143,29 +139,16 @@ class RandomMV:
 
     def release_assignment(self, worker_id: WorkerId, task_id: TaskId) -> bool:
         """Reopen an outstanding (unanswered) slot after lease expiry."""
-        if self._pending.pop((worker_id, task_id), None) is None:
+        key = (worker_id, task_id)
+        if key not in self._pending:
             return False
+        self._pending.remove(key)
         self._holding[task_id] -= 1
         return True
 
-    def expire_stale_assignments(
-        self, max_age: int
-    ) -> list[tuple[WorkerId, TaskId]]:
-        """Release every slot held longer than ``max_age`` clock ticks."""
-        if max_age < 0:
-            raise ValueError("max_age must be >= 0")
-        stale = [
-            pair
-            for pair, issued in self._pending.items()
-            if self._clock - issued > max_age
-        ]
-        for worker_id, task_id in stale:
-            self.release_assignment(worker_id, task_id)
-        return stale
-
-    def pending_assignments(self) -> dict[tuple[WorkerId, TaskId], int]:
-        """Outstanding slots with their issue ticks (platform hook)."""
-        return dict(self._pending)
+    def is_worker_rejected(self, worker_id: WorkerId) -> bool:
+        """Random assignment never rejects a worker (platform hook)."""
+        return False
 
     # ------------------------------------------------------------------
     def is_finished(self) -> bool:
@@ -189,3 +172,11 @@ class RandomMV:
     def completed_tasks(self) -> list[TaskId]:
         """Globally completed task ids (platform hook)."""
         return [t for t, v in self._votes.items() if v.is_complete()]
+
+    def consensus(self, task_id: TaskId) -> Label | None:
+        """This policy's result for a globally completed task (majority,
+        or a subclass's aggregation); None while the task is open."""
+        votes = self._votes.get(task_id)
+        if votes is None or not votes.is_complete():
+            return None
+        return self.predictions()[task_id]

@@ -20,7 +20,7 @@ from typing import Any
 
 from repro.aggregation.pv import verification_posterior
 from repro.core.framework import ICrowd
-from repro.core.types import Label, TaskId, WorkerId
+from repro.core.types import AnswerOutcome, Label, TaskId, WorkerId
 
 
 class EarlyStopICrowd(ICrowd):
@@ -64,13 +64,21 @@ class EarlyStopICrowd(ICrowd):
         task_id: TaskId,
         label: Label,
         is_test: bool = False,
-    ) -> None:
-        """Record the answer, then check for confident early consensus."""
-        super().on_answer(worker_id, task_id, label, is_test)
-        if is_test or task_id in self.warmup.qualification_truth:
-            return
-        if self._board.states[task_id].completed:
-            return
+    ) -> AnswerOutcome:
+        """Record the answer; an accepted vote may complete its task
+        early on confident consensus."""
+        outcome = super().on_answer(worker_id, task_id, label, is_test)
+        if (
+            outcome is AnswerOutcome.ACCEPTED
+            and not is_test
+            and task_id not in self.warmup.qualification_truth
+            and not self._board.states[task_id].completed
+        ):
+            self._stop_early(task_id)
+        return outcome
+
+    def _stop_early(self, task_id: TaskId) -> None:
+        """Complete an open task whose votes clear the threshold."""
         vote_state = self._votes[task_id]
         if len(vote_state.answers) < self.min_votes:
             return

@@ -400,20 +400,6 @@ class ICrowd:
         """Current assignment invalidation epoch (see ``_assign_epoch``)."""
         return self._assign_epoch
 
-    def expire_stale_assignments(self, max_age: int) -> list[tuple[WorkerId, TaskId]]:
-        """Release every outstanding assignment older than ``max_age``
-        clock ticks (abandoned HITs).  Returns the released pairs."""
-        if max_age < 0:
-            raise ValueError("max_age must be >= 0")
-        stale = [
-            pair
-            for pair, issued in self._pending.items()
-            if self._clock - issued > max_age
-        ]
-        for worker_id, task_id in stale:
-            self.release_assignment(worker_id, task_id)
-        return stale
-
     def pending_assignments(self) -> dict[tuple[WorkerId, TaskId], int]:
         """Outstanding real assignments with their issue ticks."""
         return dict(self._pending)
@@ -435,6 +421,11 @@ class ICrowd:
         """Globally completed non-qualification tasks (platform hook)."""
         completed: list[TaskId] = np.flatnonzero(self._board.done).tolist()
         return completed
+
+    def consensus(self, task_id: TaskId) -> Label | None:
+        """Consensus of a globally completed task; None while it is open
+        (and for qualification tasks, which are never crowdsourced)."""
+        return self._consensus.get(task_id)
 
     def is_worker_rejected(self, worker_id: WorkerId) -> bool:
         """Whether warm-up eliminated this worker (platform hook)."""

@@ -283,19 +283,6 @@ class MultiICrowd:
         self._assign_epoch += 1
         return True
 
-    def expire_stale_assignments(
-        self, max_age: int
-    ) -> list[tuple[WorkerId, TaskId]]:
-        """Policy-clock expiry hook (documented protocol default).
-
-        ``MultiICrowd`` keeps no per-assignment issue clock; slot
-        reclamation is driven by the platform's lease ledger calling
-        :meth:`release_assignment`, so this is a no-op returning ``[]``.
-        """
-        if max_age < 0:
-            raise ValueError("max_age must be >= 0")
-        return []
-
     def is_finished(self) -> bool:
         """True once every non-qualification task reached k votes."""
         return self._board.open_count == 0
@@ -304,6 +291,11 @@ class MultiICrowd:
         """Globally completed task ids."""
         completed: list[TaskId] = np.flatnonzero(self._board.done).tolist()
         return completed
+
+    def consensus(self, task_id: TaskId) -> Choice | None:
+        """Plurality result of a globally completed task; None while it
+        is open."""
+        return self._consensus.get(task_id)
 
     def is_worker_rejected(self, worker_id: WorkerId) -> bool:
         """Whether warm-up eliminated this worker."""

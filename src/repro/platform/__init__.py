@@ -6,11 +6,13 @@ request tasks, iCrowd's web server decides the assignment, answers flow
 back, payments are processed.  This package reproduces that interaction
 loop against simulated workers:
 
-- :class:`SimulatedPlatform` — the request/assign/answer/pay driver,
+- :class:`Session` — one job's request/assign/answer/pay/aggregate
+  loop, driven by both the simulator and the HTTP facade,
 - :class:`PolicyProtocol` — what an assignment policy must implement
   (both :class:`repro.core.ICrowd` and every baseline satisfy it),
+- :class:`SimulatedPlatform` — runs a session against a simulated crowd,
 - :mod:`repro.platform.leases` — the assignment-lease ledger (issue →
-  answer / expire → requeue) shared by the driver and the HTTP facade,
+  answer / expire → requeue) a session owns,
 - :mod:`repro.platform.faults` — fault injection (duplicate and late
   submissions, blackout bursts, malformed submits),
 - :mod:`repro.platform.hits` — HIT batching (10 microtasks per HIT at
@@ -40,12 +42,9 @@ from repro.platform.leases import (
     SettleResult,
 )
 from repro.platform.payments import PaymentLedger
-from repro.platform.platform import (
-    PlatformReport,
-    PolicyProtocol,
-    SimulatedPlatform,
-)
+from repro.platform.platform import PlatformReport, SimulatedPlatform
 from repro.platform.server import ICrowdHTTPServer
+from repro.platform.session import PolicyProtocol, Session
 
 __all__ = [
     "AnswerEvent",
@@ -68,6 +67,7 @@ __all__ = [
     "PolicyProtocol",
     "RejectEvent",
     "RequestEvent",
+    "Session",
     "SettleResult",
     "SimulatedPlatform",
     "SubmitResult",

@@ -7,113 +7,34 @@ updates its state.  The loop ends when the policy reports all tasks
 globally completed, when no progress is possible (every active worker
 drew a blank repeatedly), or at a step cap.
 
-Unlike the paper's idealised loop, every issued assignment is covered
-by a *lease* (:mod:`repro.platform.leases`): if the answer does not
-arrive within ``assignment_timeout`` steps — the worker walked away,
-blacked out, or submitted garbage — the lease expires, the slot is
-requeued with the policy, and a later answer for it is dropped instead
-of corrupting the vote state.  A :class:`repro.platform.faults
-.FaultConfig` additionally injects the failure modes real microtask
-markets exhibit (duplicate submissions, late answers, blackout bursts,
-malformed submits) to exercise exactly those paths.
+The cycle itself — leases, events, payments, completions — is the
+:class:`repro.platform.session.Session` that the HTTP facade drives
+too; this module adds the simulation around it.  Unlike the paper's
+idealised loop, every issued assignment is covered by a *lease*
+(:mod:`repro.platform.leases`): if the answer does not arrive within
+``assignment_timeout`` steps — the worker walked away, blacked out, or
+submitted garbage — the lease expires, the slot is requeued with the
+policy, and a later answer for it is dropped instead of corrupting the
+vote state.  A :class:`repro.platform.faults.FaultConfig` additionally
+injects the failure modes real microtask markets exhibit (duplicate
+submissions, late answers, blackout bursts, malformed submits) to
+exercise exactly those paths.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
 
-from repro.core.types import (
-    AnswerOutcome,
-    Assignment,
-    Label,
-    TaskId,
-    TaskSet,
-    WorkerId,
-)
+from repro.core.types import AnswerOutcome, Label, TaskId, TaskSet, WorkerId
 from repro.obs.metrics import NULL_RECORDER, Recorder
-from repro.platform.events import (
-    AnswerEvent,
-    AssignEvent,
-    CompleteEvent,
-    EventLog,
-    ExpireEvent,
-    RejectEvent,
-    RequestEvent,
-)
+from repro.platform.events import EventLog, RejectEvent
 from repro.platform.faults import FaultConfig, FaultInjector, FaultStats
 from repro.platform.hits import DEFAULT_PRICE_PER_ASSIGNMENT, DEFAULT_TASKS_PER_HIT
-from repro.platform.leases import LeaseLedger, LeaseStats, SettleResult
+from repro.platform.leases import LeaseStats, SettleResult
 from repro.platform.payments import PaymentLedger
+from repro.platform.session import PolicyProtocol, Session
 from repro.workers.pool import WorkerPool
-
-
-@runtime_checkable
-class PolicyProtocol(Protocol):
-    """What an assignment policy must provide to run on the platform.
-
-    :class:`repro.core.ICrowd` and every baseline in
-    :mod:`repro.baselines` implement this protocol, including the
-    optional lease hooks below.
-    """
-
-    def on_worker_request(
-        self,
-        worker_id: WorkerId,
-        active_workers: Sequence[WorkerId] | None = None,
-    ) -> Assignment | None:
-        """Serve a task request; None when nothing is assignable."""
-        ...
-
-    def on_answer(
-        self,
-        worker_id: WorkerId,
-        task_id: TaskId,
-        label: Label,
-        is_test: bool = False,
-    ) -> AnswerOutcome | None:
-        """Record a submitted answer, idempotently.
-
-        Must tolerate re-delivery: a repeated ``(worker, task)`` vote
-        leaves the policy unchanged and reports
-        :attr:`repro.core.types.AnswerOutcome.DUPLICATE`.  A ``None``
-        return is treated as ``ACCEPTED`` for backward compatibility.
-        """
-        ...
-
-    def is_finished(self) -> bool:
-        """True once every task is globally completed."""
-        ...
-
-    def predictions(self) -> dict[TaskId, Label]:
-        """Current aggregated result per task."""
-        ...
-
-    # -- optional lease hooks ------------------------------------------
-    # The platform probes these with ``getattr``; a policy that omits
-    # them still runs, with the documented default behaviour.
-
-    def release_assignment(self, worker_id: WorkerId, task_id: TaskId) -> bool:
-        """Reopen one outstanding (unanswered) slot after lease expiry.
-
-        Optional; default when absent: the platform falls back to
-        :meth:`expire_stale_assignments`, or does nothing if that is
-        missing too (the slot is then permanently consumed).
-        """
-        ...
-
-    def expire_stale_assignments(
-        self, max_age: int
-    ) -> list[tuple[WorkerId, TaskId]]:
-        """Release every outstanding assignment older than ``max_age``
-        policy-clock ticks.
-
-        Optional; default when absent: a no-op returning ``[]`` — the
-        platform-side lease ledger then provides the only reclamation.
-        """
-        ...
 
 
 @dataclass
@@ -215,7 +136,7 @@ class SimulatedPlatform:
         ``FaultConfig.disabled()`` behave identically.
     recorder:
         Observability recorder (``None`` = disabled).  Shared with the
-        lease ledger and the fault injector; the run loop records step,
+        session and the fault injector; the run loop records step,
         request, assignment and answer-outcome counters and a
         ``platform.run`` span, and :attr:`PlatformReport.metrics`
         carries the final snapshot.  The recorder never draws from any
@@ -248,11 +169,15 @@ class SimulatedPlatform:
         self.abandonment = abandonment
         self.assignment_timeout = assignment_timeout
         self.recorder = recorder
-        self.events = EventLog()
-        self.payments = PaymentLedger(
-            price_per_microtask=price_per_assignment / tasks_per_hit
+        self.session = Session(
+            policy,
+            assignment_timeout,
+            price_per_microtask=price_per_assignment / tasks_per_hit,
+            recorder=recorder,
         )
-        self.leases = LeaseLedger(assignment_timeout, recorder=self.recorder)
+        self.events = self.session.events
+        self.payments = self.session.payments
+        self.leases = self.session.leases
         self.injector = FaultInjector(
             faults or FaultConfig.disabled(),
             seed=seed,
@@ -292,7 +217,11 @@ class SimulatedPlatform:
             self.pool.tick()
             self._apply_blackouts()
             self._deliver_held(step)
-            self._expire_due(step)
+            if self.session.sweep(step):
+                self.recorder.counter(
+                    "repro_platform_lease_sweeps_total",
+                    "Expiry sweeps that reclaimed at least one lease.",
+                ).inc()
             requester = self.pool.sample_requester()
             if requester is None:
                 consecutive_blanks += 1
@@ -300,21 +229,20 @@ class SimulatedPlatform:
                     stalled = True
                     break
                 continue
-            self.events.append(RequestEvent(step=step, worker_id=requester))
             self.recorder.counter(
                 "repro_platform_requests_total",
                 "Task requests issued by sampled workers.",
             ).inc()
-            assignment = self.policy.on_worker_request(
-                requester, self.pool.active_workers()
+            lease = self.session.request(
+                requester, step, self.pool.active_workers()
             )
-            if assignment is None:
+            if lease is None:
                 self.recorder.counter(
                     "repro_platform_blank_requests_total",
                     "Requests the policy served with no assignment.",
                 ).inc()
                 # nothing for this worker: rejected, or no eligible task
-                if self._policy_rejected(requester):
+                if self.policy.is_worker_rejected(requester):
                     self.pool.remove(requester)
                     self._rejected.append(requester)
                     self.events.append(
@@ -326,25 +254,14 @@ class SimulatedPlatform:
                     break
                 continue
             consecutive_blanks = 0
-            self.events.append(
-                AssignEvent(
-                    step=step,
-                    worker_id=requester,
-                    task_id=assignment.task_id,
-                    is_test=assignment.is_test,
-                )
-            )
-            lease = self.leases.issue(
-                requester, assignment.task_id, step, assignment.is_test
-            )
             self.recorder.counter(
                 "repro_platform_assignments_total",
                 "Assignments issued, split by qualification tests.",
-                is_test=str(assignment.is_test).lower(),
+                is_test=str(lease.is_test).lower(),
             ).inc()
             if (
                 self.abandonment
-                and not assignment.is_test
+                and not lease.is_test
                 and self._rng.random() < self.abandonment
             ):
                 # the worker walks away without answering: no submission
@@ -356,41 +273,43 @@ class SimulatedPlatform:
                 ).inc()
                 continue
             worker = self.pool.worker(requester)
-            label = worker.answer(self.tasks[assignment.task_id])
+            label = worker.answer(self.tasks[lease.task_id])
             if self.injector.malformed_submission():
                 # garbage submit: dropped before it reaches the policy;
                 # the lease stays open and expiry requeues the slot
                 self.pool.note_submission(requester)
                 continue
-            if not assignment.is_test and self.injector.late_answer():
+            if not lease.is_test and self.injector.late_answer():
                 # the worker sits on the answer until after expiry
                 self._held.append(
                     (
                         lease.expires_at + 2,
                         requester,
-                        assignment.task_id,
+                        lease.task_id,
                         label,
-                        assignment.is_test,
+                        lease.is_test,
                     )
                 )
                 self.pool.note_submission(requester)
                 continue
-            self._deliver(
-                step, requester, assignment.task_id, label,
-                assignment.is_test,
-            )
+            self._deliver(step, requester, lease.task_id, label, lease.is_test)
             if self.injector.duplicate_submission():
                 # the same submission arrives again (client retry): the
                 # ledger flags it and the policy must shrug it off
                 self._deliver(
-                    step, requester, assignment.task_id, label,
-                    assignment.is_test,
+                    step, requester, lease.task_id, label, lease.is_test
                 )
             self.pool.note_submission(requester)
         if step:
             self.recorder.counter(
                 "repro_platform_steps_total", "Interaction-loop steps run."
             ).inc(step)
+        completions = len(self.events.completions())
+        if completions:
+            self.recorder.counter(
+                "repro_platform_completions_total",
+                "Tasks whose vote reached global completion.",
+            ).inc(completions)
         return PlatformReport(
             steps=step,
             finished=self.policy.is_finished(),
@@ -412,73 +331,29 @@ class SimulatedPlatform:
         label: Label,
         is_test: bool,
     ) -> bool:
-        """Deliver one submission through the lease ledger to the policy.
+        """Submit one answer through the session; True when accepted.
 
-        Returns True when the answer was accepted (event recorded and
-        the worker paid); late, duplicate and policy-ignored answers
-        are dropped and counted.
+        Late, duplicate and policy-refused answers are dropped and
+        counted by result.
         """
-        settle = self.leases.settle(worker_id, task_id, step)
-        if settle is SettleResult.LATE:
-            # the lease expired and the slot was requeued: the answer
-            # can no longer count (it may not even be a valid vote)
-            self._count_answer("late")
-            return False
-        if settle in (SettleResult.DUPLICATE, SettleResult.UNKNOWN):
-            # deliver anyway: idempotent policies must leave their
-            # state untouched and report the duplicate
-            outcome = _coerce_outcome(
-                self.policy.on_answer(worker_id, task_id, label, is_test)
-            )
-            if outcome.accepted:
+        verdict = self.session.submit(worker_id, task_id, label, is_test, step)
+        if verdict in (SettleResult.DUPLICATE, SettleResult.UNKNOWN):
+            # probe the policy anyway: an idempotent policy leaves its
+            # state untouched and reports the duplicate
+            probe = self.policy.on_answer(worker_id, task_id, label, is_test)
+            if probe.accepted:
                 raise RuntimeError(
                     f"policy accepted a duplicate submission for "
                     f"({worker_id!r}, {task_id}); on_answer must be "
                     f"idempotent"
                 )
             self.injector.stats.duplicates_dropped += 1
-            self._count_answer(settle.value)
-            return False
-        completed_before = self._completed_tasks()
-        outcome = _coerce_outcome(
-            self.policy.on_answer(worker_id, task_id, label, is_test)
-        )
-        if not outcome.accepted:
-            self._count_answer(outcome.name.lower())
-            return False
-        self._count_answer("accepted")
-        self.events.append(
-            AnswerEvent(
-                step=step,
-                worker_id=worker_id,
-                task_id=task_id,
-                label=label,
-                is_test=is_test,
-            )
-        )
-        newly_completed = self._completed_tasks() - completed_before
-        for completed_id in sorted(newly_completed):
-            self.events.append(
-                CompleteEvent(
-                    step=step,
-                    task_id=completed_id,
-                    consensus=self.policy.predictions()[completed_id],
-                )
-            )
-        if newly_completed:
-            self.recorder.counter(
-                "repro_platform_completions_total",
-                "Tasks whose vote reached global completion.",
-            ).inc(len(newly_completed))
-        self.payments.pay_once(worker_id, task_id)
-        return True
-
-    def _count_answer(self, result: str) -> None:
         self.recorder.counter(
             "repro_platform_answers_total",
             "Submissions delivered through the lease ledger, by result.",
-            result=result,
+            result=verdict.value,
         ).inc()
+        return verdict is AnswerOutcome.ACCEPTED
 
     def _deliver_held(self, step: int) -> None:
         """Deliver answers the late-fault held past their lease expiry."""
@@ -492,37 +367,6 @@ class SimulatedPlatform:
             if not self._deliver(step, worker_id, task_id, label, is_test):
                 self.injector.stats.late_dropped += 1
 
-    def _expire_due(self, step: int) -> None:
-        """Reclaim every lease past its deadline — runs every step,
-        independent of the abandonment setting."""
-        due = self.leases.expire_due(step)
-        if due:
-            self.recorder.counter(
-                "repro_platform_lease_sweeps_total",
-                "Expiry sweeps that reclaimed at least one lease.",
-            ).inc()
-        for lease in due:
-            self._release_with_policy(lease.worker_id, lease.task_id)
-            self.events.append(
-                ExpireEvent(
-                    step=step,
-                    worker_id=lease.worker_id,
-                    task_id=lease.task_id,
-                )
-            )
-
-    def _release_with_policy(
-        self, worker_id: WorkerId, task_id: TaskId
-    ) -> None:
-        """Tell the policy an expired slot is open again."""
-        release = getattr(self.policy, "release_assignment", None)
-        if release is not None:
-            release(worker_id, task_id)
-            return
-        expire = getattr(self.policy, "expire_stale_assignments", None)
-        if expire is not None:
-            expire(self.assignment_timeout)
-
     def _apply_blackouts(self) -> None:
         """Suspend blackout-burst victims for the configured duration."""
         victims = self.injector.blackout_victims(self.pool.active_workers())
@@ -530,24 +374,6 @@ class SimulatedPlatform:
             self.pool.suspend(
                 worker_id, self.injector.config.blackout_duration
             )
-
-    def _policy_rejected(self, worker_id: WorkerId) -> bool:
-        """Whether the policy has permanently rejected a worker."""
-        checker = getattr(self.policy, "is_worker_rejected", None)
-        if checker is None:
-            return False
-        return bool(checker(worker_id))
-
-    def _completed_tasks(self) -> set[TaskId]:
-        getter = getattr(self.policy, "completed_tasks", None)
-        if getter is None:
-            return set()
-        return set(getter())
-
-
-def _coerce_outcome(value: AnswerOutcome | None) -> AnswerOutcome:
-    """Back-compat: policies returning None are treated as accepting."""
-    return AnswerOutcome.ACCEPTED if value is None else value
 
 
 def is_empty_accuracy(value: float) -> bool:

@@ -40,13 +40,17 @@ the fact:
 
 - **causal tracing** — handlers honour the W3C ``traceparent`` header
   (malformed or absent → a fresh trace): each request runs inside a
-  ``server.<endpoint>`` span joined to the caller's trace, with nested
-  ``server.lease_issue`` / ``server.aggregate`` spans around the two
-  state transitions that matter;
-- **flight data** — the server keeps its own :class:`EventLog` of
+  ``server.<endpoint>`` span joined to the caller's trace, with the
+  session's nested ``session.lease_issue`` / ``session.aggregate``
+  spans around the two state transitions that matter;
+- **flight data** — the session's :class:`EventLog` records
   request/assign/answer/complete/expire events at interaction-tick
   granularity, so :class:`repro.obs.FlightRecorder` can join it with
   the span trace into per-task lifecycle timelines.
+
+The leases, events, payments and completions themselves are the
+:class:`repro.platform.session.Session` the simulator drives too; the
+server adds HTTP, its lock and its interaction clock.
 """
 
 from __future__ import annotations
@@ -56,13 +60,9 @@ import logging
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING
 from urllib.parse import parse_qs, urlparse
 
 from repro.core.types import AnswerOutcome, Label, TaskSet, WorkerId
-
-if TYPE_CHECKING:
-    from repro.platform.platform import PolicyProtocol
 from repro.obs.exposition import CONTENT_TYPE, render_prometheus
 from repro.obs.ids import (
     TRACEPARENT_HEADER,
@@ -71,17 +71,35 @@ from repro.obs.ids import (
 )
 from repro.obs.logging import get_logger, log_event
 from repro.obs.metrics import MetricsRegistry, Recorder
-from repro.platform.events import (
-    AnswerEvent,
-    AssignEvent,
-    CompleteEvent,
-    EventLog,
-    ExpireEvent,
-    RequestEvent,
-)
-from repro.platform.leases import LeaseLedger, SettleResult
+from repro.platform.leases import SettleResult
+from repro.platform.session import PolicyProtocol, Session
 
 _LOGGER = get_logger("platform.server")
+
+#: Submits turned away by the lease ledger or the policy: verdict →
+#: (HTTP status, rejection counter reason, error message template).
+_REJECTIONS: dict[SettleResult | AnswerOutcome, tuple[int, str, str]] = {
+    SettleResult.LATE: (
+        410,
+        "late",
+        "assignment lease for task {task} expired; the slot was requeued",
+    ),
+    SettleResult.DUPLICATE: (
+        409,
+        "duplicate",
+        "worker {worker!r} already submitted task {task}",
+    ),
+    SettleResult.UNKNOWN: (
+        409,
+        "unknown",
+        "no outstanding assignment of task {task} for worker {worker!r}",
+    ),
+    AnswerOutcome.DUPLICATE: (
+        409,
+        "policy_duplicate",
+        "worker {worker!r} already answered task {task}",
+    ),
+}
 
 
 class ICrowdHTTPServer:
@@ -111,7 +129,7 @@ class ICrowdHTTPServer:
     def __init__(
         self,
         tasks: TaskSet,
-        policy: "PolicyProtocol",
+        policy: PolicyProtocol,
         host: str = "127.0.0.1",
         port: int = 0,
         lease_timeout: int | None = None,
@@ -126,10 +144,12 @@ class ICrowdHTTPServer:
         self._clock = getattr(self.recorder, "clock", time.perf_counter)
         if lease_timeout is None:
             lease_timeout = max(50, 4 * len(tasks))
-        self.leases = LeaseLedger(lease_timeout, recorder=self.recorder)
+        #: the job's leases, events and payments (guarded by the lock)
+        self.session = Session(policy, lease_timeout, recorder=self.recorder)
+        self.leases = self.session.leases
         #: Flight data: every served interaction as a typed event, at
-        #: interaction-tick granularity (guarded by the server lock).
-        self.events = EventLog()
+        #: interaction-tick granularity.
+        self.events = self.session.events
         self._tick = 0
         self._known_workers: set[WorkerId] = set()
         self._lock = threading.Lock()
@@ -177,17 +197,7 @@ class ICrowdHTTPServer:
         of an MTurk HIT expiring unanswered.
         """
         self._tick += 1
-        for lease in self.leases.expire_due(self._tick):
-            self.events.append(
-                ExpireEvent(
-                    step=self._tick,
-                    worker_id=lease.worker_id,
-                    task_id=lease.task_id,
-                )
-            )
-            release = getattr(self.policy, "release_assignment", None)
-            if release is not None:
-                release(lease.worker_id, lease.task_id)
+        self.session.sweep(self._tick)
 
     def _handle_request(
         self, worker_id: str
@@ -195,35 +205,14 @@ class ICrowdHTTPServer:
         with self._lock:
             self._advance_and_sweep()
             self._known_workers.add(worker_id)
-            self.events.append(
-                RequestEvent(step=self._tick, worker_id=worker_id)
-            )
-            assignment = self.policy.on_worker_request(worker_id)
-            if assignment is not None:
-                with self.recorder.span(
-                    "server.lease_issue", worker=worker_id
-                ):
-                    self.leases.issue(
-                        worker_id,
-                        assignment.task_id,
-                        self._tick,
-                        assignment.is_test,
-                    )
-                self.events.append(
-                    AssignEvent(
-                        step=self._tick,
-                        worker_id=worker_id,
-                        task_id=assignment.task_id,
-                        is_test=assignment.is_test,
-                    )
-                )
-        if assignment is None:
+            lease = self.session.request(worker_id, self._tick, None)
+        if lease is None:
             return 204, None
-        task = self.tasks[assignment.task_id]
+        task = self.tasks[lease.task_id]
         return 200, {
-            "task_id": assignment.task_id,
+            "task_id": lease.task_id,
             "text": task.text,
-            "is_test": assignment.is_test,
+            "is_test": lease.is_test,
         }
 
     def _handle_submit(
@@ -244,81 +233,20 @@ class ICrowdHTTPServer:
             if worker_id not in self._known_workers:
                 return 404, {"error": f"unknown worker {worker_id!r}"}
             self._advance_and_sweep()
-            settle = self.leases.settle(worker_id, task_id, self._tick)
-            if settle is SettleResult.LATE:
-                self._count_rejection("late")
-                return 410, {
-                    "error": (
-                        f"assignment lease for task {task_id} expired; "
-                        f"the slot was requeued"
-                    )
-                }
-            if settle is SettleResult.DUPLICATE:
-                self._count_rejection("duplicate")
-                return 409, {
-                    "error": (
-                        f"worker {worker_id!r} already submitted task "
-                        f"{task_id}"
-                    )
-                }
-            if settle is SettleResult.UNKNOWN:
-                self._count_rejection("unknown")
-                return 409, {
-                    "error": (
-                        f"no outstanding assignment of task {task_id} "
-                        f"for worker {worker_id!r}"
-                    )
-                }
-            completed_before = set(
-                getattr(self.policy, "completed_tasks", list)()
+            verdict = self.session.submit(
+                worker_id, task_id, label, is_test, self._tick
             )
-            with self.recorder.span(
-                "server.aggregate", worker=worker_id, task=task_id
-            ):
-                outcome = self.policy.on_answer(
-                    worker_id, task_id, label, is_test
-                )
-            if outcome is None:
-                outcome = AnswerOutcome.ACCEPTED
-            if outcome is AnswerOutcome.DUPLICATE:
-                self._count_rejection("policy_duplicate")
-                return 409, {
-                    "error": (
-                        f"worker {worker_id!r} already answered task "
-                        f"{task_id}"
-                    )
+            rejection = _REJECTIONS.get(verdict)
+            if rejection is not None:
+                status, reason, message = rejection
+                self._count_rejection(reason)
+                return status, {
+                    "error": message.format(worker=worker_id, task=task_id)
                 }
-            if outcome is AnswerOutcome.ACCEPTED:
-                self.events.append(
-                    AnswerEvent(
-                        step=self._tick,
-                        worker_id=worker_id,
-                        task_id=task_id,
-                        label=label,
-                        is_test=is_test,
-                    )
-                )
-            completed_now = set(
-                getattr(self.policy, "completed_tasks", list)()
-            )
-            predictions = getattr(self.policy, "predictions", None)
-            for completed_id in sorted(completed_now - completed_before):
-                consensus = (
-                    predictions()[completed_id]
-                    if predictions is not None
-                    else label
-                )
-                self.events.append(
-                    CompleteEvent(
-                        step=self._tick,
-                        task_id=completed_id,
-                        consensus=consensus,
-                    )
-                )
-            completed = task_id in completed_now
+            completed = self.policy.consensus(task_id) is not None
         return 200, {
-            "accepted": outcome is AnswerOutcome.ACCEPTED,
-            "outcome": outcome.value,
+            "accepted": verdict is AnswerOutcome.ACCEPTED,
+            "outcome": verdict.value,
             "task_completed": completed,
         }
 
@@ -340,9 +268,7 @@ class ICrowdHTTPServer:
     def _handle_status(self) -> tuple[int, dict[str, object]]:
         with self._lock:
             finished = self.policy.is_finished()
-            completed = len(
-                getattr(self.policy, "completed_tasks", list)()
-            )
+            completed = len(self.policy.completed_tasks())
             lease_stats = self.leases.stats.as_dict()
             outstanding = len(self.leases.outstanding())
         return 200, {

@@ -43,29 +43,6 @@ class TestReleaseAssignment:
         assert again is not None  # the worker is eligible again
 
 
-class TestExpiry:
-    def test_expires_only_stale(self, framework):
-        first = framework.on_worker_request("w1")
-        # advance the clock with unrelated requests
-        for _ in range(5):
-            framework.on_worker_request("w2")
-        released = framework.expire_stale_assignments(max_age=3)
-        assert ("w1", first.task_id) in released
-        assert framework.pending_assignments() == {}
-
-    def test_fresh_assignments_survive(self, framework):
-        assignment = framework.on_worker_request("w1")
-        released = framework.expire_stale_assignments(max_age=10)
-        assert released == []
-        assert (
-            ("w1", assignment.task_id) in framework.pending_assignments()
-        )
-
-    def test_validates_max_age(self, framework):
-        with pytest.raises(ValueError):
-            framework.expire_stale_assignments(max_age=-1)
-
-
 class TestPlatformAbandonment:
     def test_job_completes_under_abandonment(self):
         from repro.experiments.runner import build_policy

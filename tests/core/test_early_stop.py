@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.early_stop import EarlyStopICrowd
-from repro.core.types import Label
+from repro.core.types import AnswerOutcome, Label
 from tests.core.board_oracle import assert_board_matches_records
 
 
@@ -52,6 +52,19 @@ class TestEarlyStop:
         framework.on_answer("w1", 5, Label.YES)
         framework.on_answer("w2", 7, Label.NO, is_test=True)
         assert framework.votes_spent() == 1
+
+    def test_repeated_vote_is_a_duplicate(self, framework):
+        assert framework.on_answer("w1", 5, Label.YES) is AnswerOutcome.ACCEPTED
+        assert framework.on_answer("w1", 5, Label.YES) is AnswerOutcome.DUPLICATE
+
+    def test_vote_on_a_completed_task_is_ignored(self, framework):
+        framework.estimate_for("w1")
+        framework.estimate_for("w2")
+        framework.on_answer("w1", 5, Label.YES)
+        framework.on_answer("w2", 5, Label.YES)
+        assert 5 in framework.completed_tasks()
+        assert framework.on_answer("w3", 5, Label.NO) is AnswerOutcome.IGNORED
+        assert framework.votes_spent() == 2
 
     def test_validation(self, paper_tasks, paper_graph, tiny_config):
         with pytest.raises(ValueError, match="confidence_threshold"):
@@ -105,3 +118,30 @@ class TestBudgetSavings:
         fixed_acc = fixed_report.accuracy(setup.tasks, exclude=exclude)
         early_acc = early_report.accuracy(setup.tasks, exclude=exclude)
         assert early_acc >= fixed_acc - 0.12
+
+
+class TestOnThePlatform:
+    def test_duplicate_submissions_do_not_break_the_run(self):
+        """The simulator re-delivers duplicates to probe the policy; an
+        early-stopping policy must report them, not accept them."""
+        from repro.experiments.setups import make_setup
+        from repro.platform import FaultConfig, SimulatedPlatform
+
+        setup = make_setup("yahooqa", seed=5, num_workers=12)
+        policy = EarlyStopICrowd(
+            setup.tasks,
+            setup.config,
+            graph=setup.graph,
+            qualification_tasks=list(setup.qualification_tasks),
+            estimator=setup.estimator,
+        )
+        platform = SimulatedPlatform(
+            setup.tasks,
+            setup.fresh_pool("duplicates"),
+            policy,
+            faults=FaultConfig(duplicate_submission=0.1, seed=5),
+            seed=5,
+        )
+        report = platform.run(max_steps=600)
+        assert report.faults.duplicates_dropped > 0
+        assert report.payments.duplicate_attempts == 0

@@ -115,7 +115,7 @@ class TestHTTPTracePropagation:
         inner = [
             record
             for record in spans
-            if record["name"] in ("server.lease_issue", "server.aggregate")
+            if record["name"] in ("session.lease_issue", "session.aggregate")
         ]
         assert inner
         for record in inner:

@@ -8,6 +8,11 @@ import pytest
 from repro.baselines import RandomMV
 from repro.core.types import Label, Task, TaskSet
 from repro.platform.server import ICrowdHTTPServer
+from tests.platform.http_script import (
+    EXPECTED_EVENTS,
+    EXPECTED_REPLIES,
+    run_over_http,
+)
 
 
 @pytest.fixture
@@ -377,3 +382,10 @@ class TestMetricsEndpoint:
             response.read()
             conn.close()
             assert response.status == 503
+
+
+class TestScriptedSession:
+    def test_replies_and_events_match_the_recording(self, tmp_path):
+        replies, events = run_over_http(tmp_path)
+        assert replies == EXPECTED_REPLIES
+        assert events == EXPECTED_EVENTS
