@@ -10,7 +10,7 @@ Run:  python examples/scalability_demo.py
 
 import time
 
-from repro.core.indexes import ScalableAssigner
+from repro.core.streaming import FrozenGraph, StreamingAssigner
 from repro.experiments.figures import _random_normalized_graph
 from repro.utils.rng import spawn_rng
 
@@ -34,7 +34,9 @@ def main() -> None:
         )
         build_elapsed = time.perf_counter() - t0
 
-        assigner = ScalableAssigner(normalized, damping=0.5, k=3)
+        assigner = StreamingAssigner(
+            FrozenGraph(normalized), damping=0.5, k=3
+        )
         rng = spawn_rng(1, f"demo-{num_tasks}")
         t0 = time.perf_counter()
         for r in range(REQUESTS):

@@ -29,11 +29,8 @@ from repro.core.multichoice import (
     multichoice_observed_accuracy,
     plurality_vote,
 )
-from repro.core.indexes import (
-    ScalableAssigner,
-    SparseEstimateIndex,
-)
-from repro.core.streaming import GrowableGraph, StreamingAssigner
+from repro.core.indexes import SparseEstimateIndex
+from repro.core.streaming import FrozenGraph, GrowableGraph, StreamingAssigner
 from repro.core.graph_selection import (
     GraphScore,
     score_graph,
@@ -96,6 +93,7 @@ __all__ = [
     "PushStats",
     "EarlyStopICrowd",
     "EstimatorConfig",
+    "FrozenGraph",
     "GraphConfig",
     "ICrowd",
     "GraphScore",
@@ -110,7 +108,6 @@ __all__ = [
     "PerformanceTester",
     "PPRBasis",
     "QualificationConfig",
-    "ScalableAssigner",
     "SimilarityGraph",
     "SparseEstimateIndex",
     "StreamingAssigner",

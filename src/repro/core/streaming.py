@@ -1,4 +1,4 @@
-"""Incremental task insertion (the Section 6.5 protocol).
+"""Section 6.5: indexed assignment over a growing or a frozen task graph.
 
 The paper's scalability experiment does not build a 1M-task graph up
 front: "Initially, the entire microtask set was empty.  We inserted 0.2
@@ -8,14 +8,16 @@ efficiency."  That protocol needs a graph that *grows*:
 - :class:`GrowableGraph` — adjacency-dict similarity graph with O(1)
   task insertion, O(degree) edge insertion, and on-demand symmetric
   normalisation rows (``s_ij / sqrt(d_i d_j)``) — no global rebuild;
-- :class:`StreamingAssigner` — the indexed assigner of
-  :mod:`repro.core.indexes` generalised over a growable graph, plus
-  :meth:`StreamingAssigner.insert_tasks` to feed new batches into the
-  live frontier.
+- :class:`FrozenGraph` — a settled ``S'`` kept as CSR, read row by row
+  (Figure 10's pre-built sweep);
+- :class:`StreamingAssigner` — per-worker sparse estimate indexes
+  (:mod:`repro.core.indexes`), a shared frontier of tasks without
+  evidence, and one-hop estimate updates, reading rows of ``S'`` from
+  either graph; :meth:`StreamingAssigner.insert_tasks` feeds new
+  batches of a :class:`GrowableGraph` into the live frontier.
 
 Per-request work stays neighbourhood-bounded, so assignment time is
-flat across insertion rounds — the Figure 10 shape under the paper's
-actual protocol.
+flat in |T| and across insertion rounds — the Figure 10 shape.
 
 The graph additionally keeps a **change journal** (:class:`GraphDelta`)
 recording which normalised rows moved since the last freeze: inserting
@@ -173,9 +175,9 @@ class GrowableGraph:
 
         Bridges the streaming regime to the offline machinery: a frozen
         snapshot can feed :class:`repro.core.ppr.PPRBasis` (vectorised,
-        parallel, cached) or :class:`repro.core.indexes.ScalableAssigner`
-        once an insertion phase settles.  Later insertions do not touch
-        the returned matrix.
+        parallel, cached) or a :class:`FrozenGraph` once an insertion
+        phase settles.  Later insertions do not touch the returned
+        matrix.
         """
         import numpy as np
         from scipy import sparse
@@ -225,22 +227,59 @@ class GrowableGraph:
         return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-class StreamingAssigner:
-    """Indexed assignment over a growing task set (Section 6.5).
+class FrozenGraph:
+    """A settled ``S'`` kept as CSR, read one row at a time.
 
-    The per-worker sparse-estimate indexes and the frontier stack are
-    identical to :class:`repro.core.indexes.ScalableAssigner`; the
-    difference is the graph backend (growable) and the
-    :meth:`insert_tasks` entry point that feeds new batches into the
-    live frontier.  Estimation updates use the one-hop Neumann
-    truncation (the paper's bounded-neighbour inference), recomputed
-    from current degrees so newly inserted edges take effect
-    immediately.
+    Offers what :class:`StreamingAssigner` reads of a
+    :class:`GrowableGraph` — ``num_tasks`` and :meth:`normalized_row` —
+    without turning the matrix into per-row dicts, which at 200k tasks
+    and 40 neighbours would double the peak memory of the Figure 10
+    sweep.  The matrix must hold no duplicate entries.
+    """
+
+    def __init__(self, normalized: sparse.csr_matrix) -> None:
+        self.num_tasks: int = normalized.shape[0]
+        self._indptr = normalized.indptr
+        self._indices = normalized.indices
+        self._data = normalized.data
+
+    def normalized_row(self, task_id: TaskId) -> dict[TaskId, float]:
+        """Row ``task_id`` of ``S'`` as ``{neighbour: value}``."""
+        start, end = self._indptr[task_id], self._indptr[task_id + 1]
+        return dict(
+            zip(
+                self._indices[start:end].tolist(),
+                self._data[start:end].tolist(),
+            )
+        )
+
+
+class StreamingAssigner:
+    """Indexed assignment for the Section 6.5 regime.
+
+    Each worker's estimates live in a :class:`SparseEstimateIndex`
+    over the tasks her observations reached; tasks without evidence
+    are served from a shared frontier stack.  An observation updates
+    the task and its direct neighbours (the paper's bounded-neighbour
+    inference), read from the graph's current rows of ``S'``, so edges
+    inserted into a :class:`GrowableGraph` take effect immediately.
+
+    Parameters
+    ----------
+    graph:
+        The rows of ``S'``: a live :class:`GrowableGraph`, or a
+        :class:`FrozenGraph` over a CSR snapshot.
+    damping:
+        PPR follow probability ``1/(1+alpha)``, in (0, 1).
+    k:
+        Assignment size per task.
+    prior:
+        Accuracy prior for unobserved coordinates.
     """
 
     def __init__(
         self,
-        graph: GrowableGraph,
+        graph: GrowableGraph | FrozenGraph,
         damping: float,
         k: int = 3,
         prior: float = 0.5,
@@ -270,53 +309,73 @@ class StreamingAssigner:
         """Insert a batch of tasks (and their similarity edges) live.
 
         New tasks join the assignment frontier immediately; edges may
-        connect new tasks to each other or to existing ones.
+        connect new tasks to each other or to existing ones.  Needs a
+        :class:`GrowableGraph`.
         """
-        new_ids = self.graph.add_tasks(count)
+        graph = self.graph
+        if not isinstance(graph, GrowableGraph):
+            raise TypeError("insert_tasks needs a GrowableGraph")
+        new_ids = graph.add_tasks(count)
         for i, j, weight in edges:
-            self.graph.add_edge(i, j, weight)
+            graph.add_edge(i, j, weight)
         # newest first, matching the LIFO frontier of the batch before
         self._frontier.extend(reversed(new_ids))
         return new_ids
 
     # ------------------------------------------------------------------
+    def _index_of(self, worker_id: WorkerId) -> SparseEstimateIndex:
+        index = self._indexes.get(worker_id)
+        if index is None:
+            index = SparseEstimateIndex(prior=self.prior)
+            self._indexes[worker_id] = index
+        return index
+
     def _one_hop_row(self, task_id: TaskId) -> dict[TaskId, float]:
+        """Two-term Neumann truncation of the task's basis row.
+
+        ``p ≈ (1-c)·e_t + c(1-c)·S' e_t`` — the observation reaches the
+        task itself plus its direct neighbours, so the work is bounded
+        by the neighbour count of Figure 10.
+        """
         c = self.damping
         row = {task_id: 1.0 - c}
         for j, value in self.graph.normalized_row(task_id).items():
-            contribution = c * (1.0 - c) * value
-            row[j] = row.get(j, 0.0) + contribution
+            row[j] = row.get(j, 0.0) + c * (1.0 - c) * value
         return row
 
     def observe(
         self, worker_id: WorkerId, task_id: TaskId, observed: float
     ) -> None:
-        """Fold one observation into the worker's sparse estimate."""
-        index = self._indexes.get(worker_id)
-        if index is None:
-            index = SparseEstimateIndex(prior=self.prior)
-            self._indexes[worker_id] = index
-        row = self._one_hop_row(task_id)
+        """Fold one observed accuracy into the worker's sparse estimate.
+
+        Every task the one-hop row reaches blends ``observed`` with the
+        prior by its mass (capped at 1), averaged with any estimate the
+        worker already has there.
+        """
+        index = self._index_of(worker_id)
         updates: dict[TaskId, float] = {}
-        for neighbor, mass in row.items():
+        for neighbor, mass in self._one_hop_row(task_id).items():
             if mass <= 0:
                 continue
             weight = min(mass, 1.0)
             blended = weight * observed + (1.0 - weight) * self.prior
-            previous = index.value(neighbor)
             if index.observed(neighbor):
-                blended = 0.5 * (previous + blended)
+                blended = 0.5 * (index.value(neighbor) + blended)
             updates[neighbor] = min(max(blended, 0.0), 1.0)
         index.update(updates)
 
     def request(self, worker_id: WorkerId) -> TaskId | None:
-        """Serve the best available task (indexed; |T|-independent)."""
+        """Serve the worker her best available task.
+
+        Prefers her highest estimate above the prior; falls back to the
+        shared frontier of unevidenced tasks, then to her best estimate
+        at or below the prior.  Completed and already-seen tasks are
+        skipped by membership tests, so the cost is O(log |support|)
+        amortised — independent of |T| and of how many tasks completed.
+        """
         seen = self._seen.setdefault(worker_id, set())
-        index = self._indexes.get(worker_id)
-        excluded = seen | self._completed
-        best = None
-        if index is not None:
-            best = index.pop_best(excluded)
+        index = self._index_of(worker_id)
+        best = index.pop_best(seen, self._completed)
         if best is not None and index.value(best) > self.prior:
             seen.add(best)
             return best
@@ -324,7 +383,7 @@ class StreamingAssigner:
             candidate = self._frontier.pop()
             if candidate in self._completed or candidate in seen:
                 continue
-            if best is not None and index is not None:
+            if best is not None:
                 # serving a frontier candidate instead: re-push the
                 # heap entry pop_best consumed, or the task could never
                 # again be served by estimate order
@@ -333,8 +392,7 @@ class StreamingAssigner:
             return candidate
         if best is not None:
             seen.add(best)
-            return best
-        return None
+        return best
 
     def answer(
         self, worker_id: WorkerId, task_id: TaskId, observed: float
@@ -348,4 +406,5 @@ class StreamingAssigner:
 
     @property
     def num_completed(self) -> int:
+        """Number of tasks that received ``k`` answers."""
         return len(self._completed)

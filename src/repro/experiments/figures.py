@@ -23,9 +23,9 @@ from repro.core.assigner import TaskState, compute_top_worker_sets, greedy_assig
 from repro.core.config import GraphConfig, ICrowdConfig
 from repro.core.estimator import AccuracyEstimator
 from repro.core.graph import SimilarityGraph
-from repro.core.indexes import ScalableAssigner
 from repro.core.optimal import approximation_error
 from repro.core.qualification import select_random_tasks
+from repro.core.streaming import FrozenGraph, GrowableGraph, StreamingAssigner
 from repro.datasets import make_itemcompare, make_yahooqa
 from repro.datasets.base import DatasetSpec
 from repro.experiments.runner import run_approach
@@ -423,7 +423,9 @@ def fig10_scalability(
             normalized = _random_normalized_graph(
                 num_tasks, max_neighbors, seed
             )
-            assigner = ScalableAssigner(normalized, damping=0.5, k=3)
+            assigner = StreamingAssigner(
+                FrozenGraph(normalized), damping=0.5, k=3
+            )
             rng = spawn_rng(seed, f"fig10-run-{num_tasks}-{max_neighbors}")
             workers = [f"w{i}" for i in range(num_workers)]
             start = time.perf_counter()
@@ -486,8 +488,6 @@ def fig10_insertion(
     a flat per-round time — per-request work is neighbourhood-local, so
     the accumulated corpus size does not matter.
     """
-    from repro.core.streaming import GrowableGraph, StreamingAssigner
-
     rng = spawn_rng(seed, "fig10-insertion")
     graph = GrowableGraph()
     assigner = StreamingAssigner(graph, damping=0.5, k=3)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.indexes import ScalableAssigner, SparseEstimateIndex
+from repro.core.indexes import SparseEstimateIndex
+from repro.core.streaming import FrozenGraph, StreamingAssigner
 from repro.experiments.figures import _random_normalized_graph
 
 
@@ -53,10 +54,18 @@ class TestSparseEstimateIndex:
         assert index.pop_best(set()) is None
 
 
+    def test_excludes_membership_in_any_collection(self):
+        index = SparseEstimateIndex()
+        index.update({1: 0.9, 2: 0.8, 3: 0.7})
+        assert index.pop_best({1}, {2}) == 3
+
+
 class TestScalableAssigner:
+    """The assigner over a frozen CSR, as Figure 10's sweep runs it."""
+
     def make_assigner(self, n=200, m=8, k=2, seed=0):
         normalized = _random_normalized_graph(n, m, seed)
-        return ScalableAssigner(normalized, damping=0.5, k=k)
+        return StreamingAssigner(FrozenGraph(normalized), damping=0.5, k=k)
 
     def test_serves_every_task_to_completion(self):
         n, k = 60, 2
@@ -100,33 +109,44 @@ class TestScalableAssigner:
         """After positive evidence at a task, the worker's next request
         should prefer the evidence neighbourhood over the frontier."""
         normalized = _random_normalized_graph(500, 10, seed=1)
-        assigner = ScalableAssigner(normalized, damping=0.5, k=3)
+        assigner = StreamingAssigner(
+            FrozenGraph(normalized), damping=0.5, k=3
+        )
         first = assigner.request("w")
         assigner.answer("w", first, 1.0)
-        neighborhood = set(
-            assigner._basis_cache[first]
-        )
+        start, end = normalized.indptr[first], normalized.indptr[first + 1]
+        neighborhood = set(normalized.indices[start:end].tolist())
         second = assigner.request("w")
-        assert second in neighborhood or second is not None
+        assert second in neighborhood
 
     def test_request_work_is_local(self):
-        """Per-request touched state must not scale with |T| (the basis
-        cache only holds pushed neighbourhoods)."""
-        small = self.make_assigner(n=200, m=8)
-        large = self.make_assigner(n=2000, m=8)
-        for assigner in (small, large):
+        """Per-request touched state must not scale with |T|: a request
+        reads no row of S', an answer reads one, and the worker indexes
+        grow only by the rows read."""
+
+        class CountingGraph(FrozenGraph):
+            def normalized_row(self, task_id):
+                row = super().normalized_row(task_id)
+                self.row_sizes.append(len(row))
+                return row
+
+        support_per_answer = {}
+        for n in (200, 2000):
+            graph = CountingGraph(_random_normalized_graph(n, 8, 0))
+            graph.row_sizes = []
+            assigner = StreamingAssigner(graph, damping=0.5, k=2)
             for r in range(20):
                 worker = f"w{r % 4}"
                 task = assigner.request(worker)
                 assigner.answer(worker, task, 0.8)
-        small_support = sum(
-            len(row) for row in small._basis_cache.values()
-        ) / max(len(small._basis_cache), 1)
-        large_support = sum(
-            len(row) for row in large._basis_cache.values()
-        ) / max(len(large._basis_cache), 1)
-        # pushed supports are neighbourhood-sized in both cases
-        assert large_support < 10 * small_support + 50
+            assert len(graph.row_sizes) == 20
+            support = sum(
+                index.support_size for index in assigner._indexes.values()
+            )
+            assert support <= sum(1 + size for size in graph.row_sizes)
+            support_per_answer[n] = support / 20
+        # supports are neighbourhood-sized at both sizes
+        assert support_per_answer[2000] < 10 * support_per_answer[200] + 50
 
     def test_request_survives_frontier_fallthrough(self):
         """Regression: serving a frontier candidate after ``pop_best``
@@ -135,7 +155,9 @@ class TestScalableAssigner:
         from scipy import sparse
 
         normalized = sparse.csr_matrix((2, 2), dtype=np.float64)
-        assigner = ScalableAssigner(normalized, damping=0.5, k=5)
+        assigner = StreamingAssigner(
+            FrozenGraph(normalized), damping=0.5, k=5
+        )
         # drain task 0 from the shared frontier via another worker
         assert assigner.request("v") == 0
         assigner.observe("w", 0, 0.2)  # below-prior evidence
@@ -147,7 +169,7 @@ class TestScalableAssigner:
     def test_validation(self):
         normalized = _random_normalized_graph(10, 3, seed=0)
         with pytest.raises(ValueError):
-            ScalableAssigner(normalized, damping=0.5, k=0)
+            StreamingAssigner(FrozenGraph(normalized), damping=0.5, k=0)
 
 
 class TestRandomNormalizedGraph:
@@ -175,33 +197,3 @@ class TestRandomNormalizedGraph:
         b = _random_normalized_graph(100, 5, seed=4)
         assert (a != b).nnz == 0
 
-
-class TestFullPushMode:
-    def test_neighborhood_only_false_uses_forward_push(self):
-        normalized = _random_normalized_graph(150, 5, seed=2)
-        assigner = ScalableAssigner(
-            normalized, damping=0.5, k=2, neighborhood_only=False
-        )
-        first = assigner.request("w")
-        assigner.answer("w", first, 1.0)
-        # full push can reach beyond one hop
-        row = assigner._basis_cache[first]
-        one_hop = 1 + normalized.indptr[first + 1] - normalized.indptr[first]
-        assert len(row) >= one_hop
-
-    def test_modes_agree_on_direct_neighbors_sign(self):
-        """Both inference modes push positive mass to direct
-        neighbours of a positive observation."""
-        normalized = _random_normalized_graph(80, 4, seed=3)
-        for neighborhood_only in (True, False):
-            assigner = ScalableAssigner(
-                normalized,
-                damping=0.5,
-                k=2,
-                neighborhood_only=neighborhood_only,
-            )
-            assigner.observe("w", 0, 1.0)
-            index = assigner._indexes["w"]
-            start, end = normalized.indptr[0], normalized.indptr[1]
-            for j in normalized.indices[start:end]:
-                assert index.value(int(j)) >= 0.5

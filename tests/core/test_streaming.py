@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.streaming import GrowableGraph, StreamingAssigner
+from repro.core.streaming import FrozenGraph, GrowableGraph, StreamingAssigner
 from repro.utils.rng import spawn_rng
 
 
@@ -239,11 +239,9 @@ class TestStreamingAssigner:
         assert assigner.request("w") == 0
 
     def test_streaming_matches_scalable_on_frozen_graph(self):
-        """Differential: on a frozen graph, the streaming assigner and
-        ``ScalableAssigner`` (one-hop mode) serve identical sequences —
-        their observe/request logic is the same math."""
-        from repro.core.indexes import ScalableAssigner
-
+        """Differential: on a graph that stops growing, the assigner
+        reading the live graph and the one reading its CSR snapshot
+        serve identical sequences."""
         rng = spawn_rng(7, "streaming-differential")
         graph = GrowableGraph()
         graph.add_tasks(12)
@@ -252,19 +250,54 @@ class TestStreamingAssigner:
                 j = int(rng.integers(0, 12))
                 if j != i:
                     graph.add_edge(i, j, float(rng.uniform(0.5, 1.0)))
-        streaming = StreamingAssigner(graph, damping=0.5, k=2)
-        scalable = ScalableAssigner(
-            graph.normalized_csr(), damping=0.5, k=2,
-            neighborhood_only=True,
+        live = StreamingAssigner(graph, damping=0.5, k=2)
+        frozen = StreamingAssigner(
+            FrozenGraph(graph.normalized_csr()), damping=0.5, k=2
         )
         for step in range(60):
             worker = f"w{step % 3}"
-            expected = scalable.request(worker)
-            actual = streaming.request(worker)
+            expected = frozen.request(worker)
+            actual = live.request(worker)
             assert actual == expected
             if expected is None:
                 continue
             observed = float(rng.uniform(0.0, 1.0))
-            scalable.answer(worker, expected, observed)
-            streaming.answer(worker, expected, observed)
-        assert streaming.num_completed == scalable.num_completed
+            frozen.answer(worker, expected, observed)
+            live.answer(worker, expected, observed)
+        assert live.num_completed == frozen.num_completed
+
+    def test_request_does_not_copy_the_completed_set(self):
+        """Regression: every request built ``seen | completed``, so its
+        cost grew with the number of completed tasks.  A completed
+        collection that supports only membership and insertion must
+        be enough."""
+
+        class MembershipOnly:
+            def __init__(self):
+                self._tasks = set()
+
+            def __contains__(self, task_id):
+                return task_id in self._tasks
+
+            def add(self, task_id):
+                self._tasks.add(task_id)
+
+            def __len__(self):
+                return len(self._tasks)
+
+        assigner = build_assigner(num_tasks=20, k=2)
+        assigner._completed = MembershipOnly()
+        for r in range(200):
+            worker = f"w{r % 4}"
+            task = assigner.request(worker)
+            if task is None:
+                break
+            assert task not in assigner._completed
+            assigner.answer(worker, task, 0.8)
+        assert assigner.num_completed > 0
+
+    def test_frozen_graph_cannot_grow(self):
+        normalized = GrowableGraph().normalized_csr()
+        assigner = StreamingAssigner(FrozenGraph(normalized), damping=0.5)
+        with pytest.raises(TypeError):
+            assigner.insert_tasks(1)
