@@ -259,10 +259,11 @@ class StreamingAssigner:
 
     Each worker's estimates live in a :class:`SparseEstimateIndex`
     over the tasks her observations reached; tasks without evidence
-    are served from a shared frontier stack.  An observation updates
-    the task and its direct neighbours (the paper's bounded-neighbour
-    inference), read from the graph's current rows of ``S'``, so edges
-    inserted into a :class:`GrowableGraph` take effect immediately.
+    are served from a shared frontier until they have ``k`` servings.
+    An observation updates the task and its direct neighbours (the
+    paper's bounded-neighbour inference), read from the graph's
+    current rows of ``S'``, so edges inserted into a
+    :class:`GrowableGraph` take effect immediately.
 
     Parameters
     ----------
@@ -296,9 +297,15 @@ class StreamingAssigner:
         self._seen: dict[WorkerId, set[TaskId]] = {}
         self._votes: dict[TaskId, int] = {}
         self._completed: set[TaskId] = set()
-        self._frontier: list[TaskId] = list(
-            range(graph.num_tasks - 1, -1, -1)
-        )
+        self._served: dict[TaskId, int] = {}
+        # The frontier holds tasks in arrival order, and each worker
+        # walks it from her own cursor.  Position p is open while
+        # _next[p] == p; a closed one (task completed or served k times)
+        # points further on, and path halving keeps those chains short.
+        # The last entry of _next is the end sentinel.
+        self._frontier: list[TaskId] = list(range(graph.num_tasks))
+        self._next: list[int] = list(range(graph.num_tasks + 1))
+        self._cursor: dict[WorkerId, int] = {}
 
     # ------------------------------------------------------------------
     def insert_tasks(
@@ -318,8 +325,8 @@ class StreamingAssigner:
         new_ids = graph.add_tasks(count)
         for i, j, weight in edges:
             graph.add_edge(i, j, weight)
-        # newest first, matching the LIFO frontier of the batch before
-        self._frontier.extend(reversed(new_ids))
+        self._frontier.extend(new_ids)
+        self._next.extend(range(len(self._next), len(self._next) + count))
         return new_ids
 
     # ------------------------------------------------------------------
@@ -368,31 +375,56 @@ class StreamingAssigner:
         """Serve the worker her best available task.
 
         Prefers her highest estimate above the prior; falls back to the
-        shared frontier of unevidenced tasks, then to her best estimate
-        at or below the prior.  Completed and already-seen tasks are
-        skipped by membership tests, so the cost is O(log |support|)
-        amortised — independent of |T| and of how many tasks completed.
+        first open frontier task she has not seen, then to her best
+        estimate at or below the prior.  Completed and already-seen
+        tasks are skipped by membership tests, so the cost is
+        O(log |support|) amortised — independent of |T| and of how many
+        tasks completed.
         """
         seen = self._seen.setdefault(worker_id, set())
         index = self._index_of(worker_id)
         best = index.pop_best(seen, self._completed)
-        if best is not None and index.value(best) > self.prior:
-            seen.add(best)
-            return best
-        while self._frontier:
-            candidate = self._frontier.pop()
-            if candidate in self._completed or candidate in seen:
-                continue
-            if best is not None:
-                # serving a frontier candidate instead: re-push the
-                # heap entry pop_best consumed, or the task could never
-                # again be served by estimate order
-                index.restore(best)
-            seen.add(candidate)
-            return candidate
+        if best is None or index.value(best) <= self.prior:
+            candidate = self._next_frontier_task(worker_id, seen)
+            if candidate is not None:
+                if best is not None:
+                    # re-push the heap entry pop_best consumed, or the
+                    # task could never again be served by estimate order
+                    index.restore(best)
+                best = candidate
         if best is not None:
             seen.add(best)
+            self._served[best] = self._served.get(best, 0) + 1
         return best
+
+    def _next_frontier_task(
+        self, worker_id: WorkerId, seen: set[TaskId]
+    ) -> TaskId | None:
+        """First open frontier task past the worker's cursor that she
+        has not seen; her cursor moves past it.
+
+        A task stays open to other workers until it completes or has
+        been served ``k`` times, so a task no one's evidence reaches
+        still gets its ``k`` answers.  Each worker passes each position
+        once, and closed positions are skipped along the ``_next``
+        chains.
+        """
+        frontier, nxt = self._frontier, self._next
+        p = self._cursor.get(worker_id, 0)
+        while True:
+            while nxt[p] != p:
+                nxt[p] = nxt[nxt[p]]
+                p = nxt[p]
+            if p == len(frontier):
+                self._cursor[worker_id] = p
+                return None
+            task = frontier[p]
+            if task in self._completed or self._served.get(task, 0) >= self.k:
+                nxt[p] = p + 1
+            elif task not in seen:
+                self._cursor[worker_id] = p + 1
+                return task
+            p += 1
 
     def answer(
         self, worker_id: WorkerId, task_id: TaskId, observed: float

@@ -156,9 +156,9 @@ class TestScalableAssigner:
 
         normalized = sparse.csr_matrix((2, 2), dtype=np.float64)
         assigner = StreamingAssigner(
-            FrozenGraph(normalized), damping=0.5, k=5
+            FrozenGraph(normalized), damping=0.5, k=1
         )
-        # drain task 0 from the shared frontier via another worker
+        # serving task 0 k times closes it in the shared frontier
         assert assigner.request("v") == 0
         assigner.observe("w", 0, 0.2)  # below-prior evidence
         # pop_best pops 0 (<= prior); frontier serves 1 instead

@@ -1,8 +1,11 @@
 """Unit tests for incremental task insertion (Section 6.5 protocol)."""
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.core.streaming import FrozenGraph, GrowableGraph, StreamingAssigner
+from repro.experiments.figures import random_normalized_graph
 from repro.utils.rng import spawn_rng
 
 
@@ -127,6 +130,24 @@ class TestGrowableGraph:
         assert sim.nnz == 4
 
 
+def serve_until_refused_twice(assigner, workers, observed=0.8):
+    """Round-robin requests, answering each served task, until every
+    worker has been refused twice; returns the number of answers."""
+    refusals = dict.fromkeys(workers, 0)
+    answers = 0
+    step = 0
+    while min(refusals.values()) < 2:
+        worker = workers[step % len(workers)]
+        step += 1
+        task = assigner.request(worker)
+        if task is None:
+            refusals[worker] += 1
+        else:
+            assigner.answer(worker, task, observed)
+            answers += 1
+    return answers
+
+
 def build_assigner(num_tasks=30, k=2, seed=0):
     rng = spawn_rng(seed, "streaming-test")
     graph = GrowableGraph()
@@ -186,6 +207,33 @@ class TestStreamingAssigner:
                 seen[worker].add(task)
                 assigner.answer(worker, task, 0.7)
 
+    def test_tasks_without_edges_complete(self):
+        """Regression: a frontier task left the frontier once served,
+        so with no edges each task got one answer and none completed."""
+        graph = GrowableGraph()
+        graph.add_tasks(10)
+        assigner = StreamingAssigner(graph, damping=0.5, k=2)
+        answers = serve_until_refused_twice(assigner, ["a", "b", "c"])
+        assert assigner.num_completed == 10
+        assert answers == 20
+
+    def test_isolated_tasks_of_a_frozen_graph_complete(self):
+        """The same on a CSR snapshot where every fifth task is
+        isolated: 320 of 400 tasks completed before the fix."""
+        keep = np.ones(400)
+        keep[::5] = 0.0
+        mask = sparse.diags(keep)
+        normalized = (mask @ random_normalized_graph(400, 6, 5) @ mask).tocsr()
+        normalized.eliminate_zeros()
+        assigner = StreamingAssigner(
+            FrozenGraph(normalized), damping=0.5, k=3
+        )
+        answers = serve_until_refused_twice(
+            assigner, [f"w{i}" for i in range(20)]
+        )
+        assert assigner.num_completed == 400
+        assert answers == 400 * 3
+
     def test_insert_edges_to_existing_tasks(self):
         assigner = build_assigner(num_tasks=5, k=1)
         new_ids = assigner.insert_tasks(1, edges=[(5, 0, 0.9)])
@@ -226,9 +274,9 @@ class TestStreamingAssigner:
         estimate order."""
         graph = GrowableGraph()
         graph.add_tasks(1)  # task 0, isolated
-        assigner = StreamingAssigner(graph, damping=0.5, k=5)
-        # another worker drains the frontier so 0 is out of it but not
-        # in w's seen set
+        assigner = StreamingAssigner(graph, damping=0.5, k=1)
+        # another worker's k servings close 0 in the frontier, but it
+        # is not in w's seen set
         assert assigner.request("v") == 0
         # below-prior evidence for w on task 0
         assigner.observe("w", 0, 0.2)
