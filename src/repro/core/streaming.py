@@ -298,14 +298,13 @@ class StreamingAssigner:
         self._votes: dict[TaskId, int] = {}
         self._completed: set[TaskId] = set()
         self._served: dict[TaskId, int] = {}
-        # The frontier holds tasks in arrival order, and each worker
-        # walks it from her own cursor.  Position p is open while
-        # _next[p] == p; a closed one (task completed or served k times)
-        # points further on, and path halving keeps those chains short.
-        # The last entry of _next is the end sentinel.
-        self._frontier: list[TaskId] = list(range(graph.num_tasks))
-        self._next: list[int] = list(range(graph.num_tasks + 1))
-        self._cursor: dict[WorkerId, int] = {}
+        # The frontier is every task in id order, and each worker walks
+        # it from her own cursor.  Task t is open while _next[t] == t; a
+        # closed one (completed or served k times) points at a later
+        # task, and path halving keeps those chains short.  The last
+        # entry of _next is the end sentinel.
+        self._next: list[TaskId] = list(range(graph.num_tasks + 1))
+        self._cursor: dict[WorkerId, TaskId] = {}
 
     # ------------------------------------------------------------------
     def insert_tasks(
@@ -325,8 +324,6 @@ class StreamingAssigner:
         new_ids = graph.add_tasks(count)
         for i, j, weight in edges:
             graph.add_edge(i, j, weight)
-        self._frontier.extend(new_ids)
-        self._next.extend(range(len(self._next), len(self._next) + count))
         return new_ids
 
     # ------------------------------------------------------------------
@@ -405,26 +402,26 @@ class StreamingAssigner:
 
         A task stays open to other workers until it completes or has
         been served ``k`` times, so a task no one's evidence reaches
-        still gets its ``k`` answers.  Each worker passes each position
-        once, and closed positions are skipped along the ``_next``
-        chains.
+        still gets its ``k`` answers.  Each worker passes each task
+        once, and closed tasks are skipped along the ``_next`` chains.
         """
-        frontier, nxt = self._frontier, self._next
-        p = self._cursor.get(worker_id, 0)
+        nxt = self._next
+        # tasks the graph gained since the last request join the end
+        nxt.extend(range(len(nxt), self.graph.num_tasks + 1))
+        task = self._cursor.get(worker_id, 0)
         while True:
-            while nxt[p] != p:
-                nxt[p] = nxt[nxt[p]]
-                p = nxt[p]
-            if p == len(frontier):
-                self._cursor[worker_id] = p
+            while nxt[task] != task:
+                nxt[task] = nxt[nxt[task]]
+                task = nxt[task]
+            if task == len(nxt) - 1:
+                self._cursor[worker_id] = task
                 return None
-            task = frontier[p]
             if task in self._completed or self._served.get(task, 0) >= self.k:
-                nxt[p] = p + 1
+                nxt[task] = task + 1
             elif task not in seen:
-                self._cursor[worker_id] = p + 1
+                self._cursor[worker_id] = task + 1
                 return task
-            p += 1
+            task += 1
 
     def answer(
         self, worker_id: WorkerId, task_id: TaskId, observed: float
