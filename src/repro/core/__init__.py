@@ -6,8 +6,6 @@ from repro.core.assigner import (
     TaskBoard,
     TaskState,
     TopWorkerSet,
-    compute_top_worker_set,
-    compute_top_worker_sets,
     greedy_assign,
     scheme_value,
 )
@@ -48,11 +46,7 @@ from repro.core.persistence import (
     save_basis,
     save_checkpoint,
 )
-from repro.core.optimal import (
-    approximation_error,
-    bitmask_optimal,
-    enumerate_optimal,
-)
+from repro.core.optimal import approximation_error, bitmask_optimal
 from repro.core.ppr import (
     ConvergenceWarning,
     PPRBasis,
@@ -125,10 +119,7 @@ __all__ = [
     "basis_cache_key",
     "beta_variance",
     "bitmask_optimal",
-    "compute_top_worker_set",
-    "compute_top_worker_sets",
     "consensus_observed_accuracy",
-    "enumerate_optimal",
     "forward_push",
     "forward_push_reference",
     "greedy_assign",

@@ -19,8 +19,8 @@ ranked from them in one numpy pass (:class:`CandidateArrays`), and the
 greedy walk sorts the candidates once, then after each selection
 closes every later candidate that shares one of its workers.
 :class:`TopWorkerSet` objects are built only for the selected
-candidates.  :func:`compute_top_worker_sets` stays as the per-task
-reference.
+candidates.  The per-task reference build is kept in the tests
+(``tests/core/scheme_oracle.py``).
 """
 
 from __future__ import annotations
@@ -239,41 +239,6 @@ class TaskBoard:
             self.free[state.task_id] = max(0, state.k - crew)
 
 
-def compute_top_worker_set(
-    state: TaskState,
-    active_workers: Sequence[WorkerId],
-    accuracies: Mapping[WorkerId, np.ndarray],
-) -> TopWorkerSet | None:
-    """Build Ŵ(t_i) for one task, or None when nothing can be assigned."""
-    if state.completed or state.remaining == 0:
-        return None
-    eligible = state.eligible(active_workers)
-    if not eligible:
-        return None
-    scored = sorted(
-        ((w, float(accuracies[w][state.task_id])) for w in eligible),
-        key=lambda pair: (-pair[1], pair[0]),
-    )
-    return TopWorkerSet(
-        task_id=state.task_id,
-        workers=tuple(scored[: state.remaining]),
-    )
-
-
-def compute_top_worker_sets(
-    states: Sequence[TaskState],
-    active_workers: Sequence[WorkerId],
-    accuracies: Mapping[WorkerId, np.ndarray],
-) -> list[TopWorkerSet]:
-    """Algorithm 2, step 1: top worker sets for all uncompleted tasks."""
-    sets: list[TopWorkerSet] = []
-    for state in states:
-        top = compute_top_worker_set(state, active_workers, accuracies)
-        if top is not None and top.workers:
-            sets.append(top)
-    return sets
-
-
 @dataclass(frozen=True)
 class CandidateArrays:
     """Top worker sets of many tasks, as arrays (Definition 3).
@@ -338,17 +303,16 @@ def compute_top_worker_sets_fast(
     active_workers: Sequence[WorkerId],
     accuracies: Mapping[WorkerId, np.ndarray],
 ) -> CandidateArrays:
-    """Array equivalent of :func:`compute_top_worker_sets`.
+    """Algorithm 2, step 1: top worker sets for all uncompleted tasks.
 
     The active workers' mark rows, sorted by worker id, give every
     task's eligible count, and ``min(free, eligible)`` its set size.
     Over the tasks with a positive size, the seen (worker, task) pairs
     are masked out of the workers × tasks accuracy matrix, and each
     rank is filled for every task at once by an ``argmax`` over the
-    rows, which returns the lowest row among equal maxima: the
-    reference ``(-accuracy, worker_id)`` tie-break.  Candidates hold
-    the same workers and bit-identical accuracies as the reference's,
-    in ascending task id order.  A sequence of task states is packed
+    rows, which returns the lowest row among equal maxima: each set is
+    ordered by ``(-accuracy, worker_id)``.  Candidates come in
+    ascending task id order.  A sequence of task states is packed
     into a :class:`TaskBoard` first.  Active workers must be distinct.
     """
     board = TaskBoard.of(states)

@@ -7,14 +7,10 @@ packing).  The paper's Appendix D.4 compares the greedy Algorithm 3
 against an enumeration-based optimum for small active-worker counts
 (3–7 workers) and reports < 2% approximation error.
 
-Two exact solvers are provided:
-
-- :func:`enumerate_optimal` — depth-first enumeration with
-  branch-and-bound pruning; faithful to the paper's "enumerate all
-  feasible assignment schemes" but pruned so the Table 5 bench finishes.
-- :func:`bitmask_optimal` — dynamic programming over worker subsets,
-  exact and fast whenever the active worker pool is small (≤ ~20),
-  which is exactly the regime of Appendix D.4.
+:func:`bitmask_optimal` finds that optimum by dynamic programming over
+worker subsets, exact and fast whenever the active worker pool is small
+(≤ ~20), which is exactly the regime of Appendix D.4.  The paper's
+enumeration is kept in the tests as the oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -34,56 +30,6 @@ def _validate(candidates: Sequence[TopWorkerSet]) -> list[TopWorkerSet]:
     return out
 
 
-def enumerate_optimal(
-    candidates: Sequence[TopWorkerSet],
-) -> tuple[float, list[TopWorkerSet]]:
-    """Exhaustive search for the optimal scheme with B&B pruning.
-
-    Candidates are sorted by descending value; at each node the residual
-    upper bound (sum of remaining candidate values, ignoring conflicts)
-    prunes branches that cannot beat the incumbent.
-
-    Returns
-    -------
-    (value, scheme)
-        Objective value and one optimal scheme (possibly empty).
-    """
-    cands = sorted(
-        _validate(candidates),
-        key=lambda c: (-c.sum_accuracy, c.task_id),
-    )
-    n = len(cands)
-    # suffix_bound[i] = sum of values of candidates i..n-1
-    suffix_bound = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_bound[i] = suffix_bound[i + 1] + cands[i].sum_accuracy
-
-    best_value = 0.0
-    best_scheme: list[TopWorkerSet] = []
-    chosen: list[TopWorkerSet] = []
-
-    def dfs(index: int, used: frozenset, value: float) -> None:
-        nonlocal best_value, best_scheme
-        if value > best_value:
-            best_value = value
-            best_scheme = list(chosen)
-        if index >= n or value + suffix_bound[index] <= best_value:
-            return
-        candidate = cands[index]
-        if not (candidate.worker_ids & used):
-            chosen.append(candidate)
-            dfs(
-                index + 1,
-                used | candidate.worker_ids,
-                value + candidate.sum_accuracy,
-            )
-            chosen.pop()
-        dfs(index + 1, used, value)
-
-    dfs(0, frozenset(), 0.0)
-    return best_value, best_scheme
-
-
 def bitmask_optimal(
     candidates: Sequence[TopWorkerSet],
 ) -> tuple[float, list[TopWorkerSet]]:
@@ -99,7 +45,7 @@ def bitmask_optimal(
     if len(workers) > 24:
         raise ValueError(
             f"bitmask solver supports ≤ 24 distinct workers, got "
-            f"{len(workers)}; use enumerate_optimal"
+            f"{len(workers)}"
         )
     index_of = {w: i for i, w in enumerate(workers)}
     masks = [
@@ -131,18 +77,13 @@ def bitmask_optimal(
 def approximation_error(
     candidates: Sequence[TopWorkerSet],
     greedy_scheme: Sequence[TopWorkerSet],
-    solver: str = "bitmask",
 ) -> float:
     """Appendix D.4's error metric ``(OPT − APP) / OPT × 100%``.
 
-    Returns 0 when the optimum is zero (empty instance).
+    ``OPT`` comes from :func:`bitmask_optimal`.  Returns 0 when the
+    optimum is zero (empty instance).
     """
-    if solver == "bitmask":
-        opt, _ = bitmask_optimal(candidates)
-    elif solver == "enumerate":
-        opt, _ = enumerate_optimal(candidates)
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
+    opt, _ = bitmask_optimal(candidates)
     app = scheme_value(greedy_scheme)
     if opt <= 0:
         return 0.0

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.baselines import RandomMV
-from repro.core.assigner import TaskState, compute_top_worker_sets, greedy_assign
+from repro.core.assigner import TaskState, compute_top_worker_sets_fast, greedy_assign
 from repro.core.config import GraphConfig, ICrowdConfig
 from repro.core.estimator import AccuracyEstimator
 from repro.core.graph import SimilarityGraph
@@ -788,14 +788,12 @@ def table5_approximation(
                 states.append(
                     TaskState(task_id=t, k=k, assigned_workers=assigned)
                 )
-            candidates = compute_top_worker_sets(
+            arrays = compute_top_worker_sets_fast(
                 states, workers, accuracies
             )
-            greedy_scheme = greedy_assign(candidates)
+            candidates = [arrays.top_set(i) for i in range(len(arrays))]
             snapshot_errors.append(
-                approximation_error(
-                    candidates, greedy_scheme, solver="bitmask"
-                )
+                approximation_error(candidates, greedy_assign(arrays))
             )
         errors[count] = float(np.mean(snapshot_errors))
     return Table5Result(worker_counts=worker_counts, error_percent=errors)

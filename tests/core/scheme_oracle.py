@@ -1,8 +1,10 @@
 """Reference scheme build the array path is checked against.
 
-:func:`repro.core.assigner.compute_top_worker_sets` builds one
-:class:`TopWorkerSet` per task; :func:`heap_greedy_assign` is Algorithm
-3 as a max-heap walk with lazy invalidation over those objects.
+:func:`compute_top_worker_sets` builds one :class:`TopWorkerSet` per
+task; :func:`heap_greedy_assign` is Algorithm 3 as a max-heap walk with
+lazy invalidation over those objects; :func:`enumerate_optimal` is the
+paper's enumeration of feasible schemes (Appendix D.4), the oracle for
+:func:`repro.core.optimal.bitmask_optimal`.
 """
 
 from __future__ import annotations
@@ -11,10 +13,82 @@ import heapq
 
 from repro.core.assigner import (
     TopWorkerSet,
-    compute_top_worker_sets,
     compute_top_worker_sets_fast,
     greedy_assign,
 )
+from repro.core.optimal import _validate
+
+
+def compute_top_worker_set(state, active_workers, accuracies):
+    """Build Ŵ(t_i) for one task, or None when nothing can be assigned."""
+    if state.completed or state.remaining == 0:
+        return None
+    eligible = state.eligible(active_workers)
+    if not eligible:
+        return None
+    scored = sorted(
+        ((w, float(accuracies[w][state.task_id])) for w in eligible),
+        key=lambda pair: (-pair[1], pair[0]),
+    )
+    return TopWorkerSet(
+        task_id=state.task_id,
+        workers=tuple(scored[: state.remaining]),
+    )
+
+
+def compute_top_worker_sets(states, active_workers, accuracies):
+    """Algorithm 2, step 1: top worker sets for all uncompleted tasks,
+    one task at a time, in the order of ``states``."""
+    sets = []
+    for state in states:
+        top = compute_top_worker_set(state, active_workers, accuracies)
+        if top is not None and top.workers:
+            sets.append(top)
+    return sets
+
+
+def enumerate_optimal(candidates):
+    """Exhaustive search for the optimal scheme with B&B pruning.
+
+    Candidates are sorted by descending value; at each node the residual
+    upper bound (sum of remaining candidate values, ignoring conflicts)
+    prunes branches that cannot beat the incumbent.  Returns the
+    objective value and one optimal scheme (possibly empty).
+    """
+    cands = sorted(
+        _validate(candidates),
+        key=lambda c: (-c.sum_accuracy, c.task_id),
+    )
+    n = len(cands)
+    # suffix_bound[i] = sum of values of candidates i..n-1
+    suffix_bound = [0.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix_bound[i] = suffix_bound[i + 1] + cands[i].sum_accuracy
+
+    best_value = 0.0
+    best_scheme: list[TopWorkerSet] = []
+    chosen: list[TopWorkerSet] = []
+
+    def dfs(index, used, value):
+        nonlocal best_value, best_scheme
+        if value > best_value:
+            best_value = value
+            best_scheme = list(chosen)
+        if index >= n or value + suffix_bound[index] <= best_value:
+            return
+        candidate = cands[index]
+        if not (candidate.worker_ids & used):
+            chosen.append(candidate)
+            dfs(
+                index + 1,
+                used | candidate.worker_ids,
+                value + candidate.sum_accuracy,
+            )
+            chosen.pop()
+        dfs(index + 1, used, value)
+
+    dfs(0, frozenset(), 0.0)
+    return best_value, best_scheme
 
 
 def heap_greedy_assign(candidates):

@@ -7,8 +7,6 @@ from repro.core.assigner import (
     AdaptiveAssigner,
     TaskState,
     TopWorkerSet,
-    compute_top_worker_set,
-    compute_top_worker_sets,
     compute_top_worker_sets_fast,
     greedy_assign,
     scheme_value,
@@ -17,6 +15,8 @@ from repro.core.config import AssignerConfig
 from tests.core.scheme_oracle import (
     as_bits,
     assert_scheme_matches_reference,
+    compute_top_worker_set,
+    compute_top_worker_sets,
     heap_greedy_assign,
 )
 

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.core.assigner import TopWorkerSet, greedy_assign, scheme_value
-from repro.core.optimal import (
-    approximation_error,
-    bitmask_optimal,
-    enumerate_optimal,
-)
+from repro.core.optimal import approximation_error, bitmask_optimal
+from tests.core.scheme_oracle import enumerate_optimal
 
 
 def cand(task_id, workers):
@@ -130,12 +127,12 @@ class TestApproximationError:
     def test_empty_instance(self):
         assert approximation_error([], []) == 0.0
 
-    def test_unknown_solver(self):
-        with pytest.raises(ValueError, match="solver"):
-            approximation_error([], [], solver="brute")
-
-    def test_enumerate_solver_path(self):
-        candidates = [cand(0, [("a", 0.9)])]
-        greedy = greedy_assign(candidates)
-        error = approximation_error(candidates, greedy, solver="enumerate")
-        assert error == pytest.approx(0.0)
+    def test_enumerate_solver_path(self, rng):
+        """The error is measured against the enumeration optimum."""
+        for _ in range(10):
+            candidates = random_instance(rng, num_tasks=8, num_workers=5)
+            greedy = greedy_assign(candidates)
+            opt, _ = enumerate_optimal(candidates)
+            expected = (opt - scheme_value(greedy)) / opt * 100.0
+            error = approximation_error(candidates, greedy)
+            assert error == pytest.approx(expected)

@@ -12,13 +12,14 @@ from repro.core.assigner import (
     scheme_value,
 )
 from repro.core.graph import SimilarityGraph
-from repro.core.optimal import bitmask_optimal, enumerate_optimal
+from repro.core.optimal import bitmask_optimal
 from repro.core.testing import PerformanceTester
 from tests.core import online_oracle
 from tests.core.board_oracle import assert_board_matches_records
 from tests.core.scheme_oracle import (
     as_bits,
     assert_scheme_matches_reference,
+    enumerate_optimal,
     heap_greedy_assign,
 )
 
