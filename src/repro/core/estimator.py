@@ -68,8 +68,8 @@ class AccuracyEstimator:
         Estimation knobs (``alpha``, tolerances, truncation, caching,
         incremental repair).
     basis_method:
-        ``"auto"`` (default), ``"push"``, ``"parallel-push"``,
-        ``"batch"`` or ``"power"`` for the offline basis computation.
+        ``"auto"`` (default), ``"push"``, ``"parallel-push"`` or
+        ``"batch"`` for the offline basis computation.
     cache_dir:
         Overrides the basis-cache directory (takes precedence over
         ``config.basis_cache_dir`` and the ``REPRO_BASIS_CACHE``

@@ -861,8 +861,7 @@ class PPRBasis:
             restarts at once (one dense n×n iteration); ``"push"`` runs
             the vectorised localized solver per row;
             ``"parallel-push"`` splits the push rows over a process
-            pool (identical output to ``"push"``); ``"power"`` runs the
-            dense iteration per row (slow; kept as the test reference).
+            pool (identical output to ``"push"``).
         num_workers:
             Process count for ``"parallel-push"`` (None/0 = the cores
             this process may run on, see :func:`usable_cpu_count`).
@@ -943,28 +942,6 @@ class PPRBasis:
                     recorder,
                 )
             )
-        if method == "power":
-            rows: list[int] = []
-            cols_l: list[int] = []
-            vals_l: list[float] = []
-            for i in range(n):
-                unit = np.zeros(n)
-                unit[i] = 1.0
-                vec = power_iteration(
-                    normalized, unit, damping, tol=tol, max_iter=max_iter
-                )
-                keep = (
-                    np.flatnonzero(np.abs(vec) >= epsilon)
-                    if epsilon > 0
-                    else np.flatnonzero(vec)
-                )
-                rows.extend([i] * len(keep))
-                cols_l.extend(int(j) for j in keep)
-                vals_l.extend(float(vec[j]) for j in keep)
-            matrix = sparse.csr_matrix(
-                (vals_l, (rows, cols_l)), shape=(n, n)
-            )
-            return cls(matrix)
         raise ValueError(f"unknown basis method {method!r}")
 
     @staticmethod
