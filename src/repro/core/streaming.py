@@ -180,26 +180,16 @@ class GrowableGraph:
         matrix.
         """
         import numpy as np
-        from scipy import sparse
 
-        n = self.num_tasks
+        matrix = self.similarity_csr()
         degree = np.asarray(self._degree, dtype=np.float64)
         with np.errstate(divide="ignore"):
             inv_sqrt = 1.0 / np.sqrt(degree)
         inv_sqrt[~np.isfinite(inv_sqrt)] = 0.0
-        counts = np.fromiter(
-            (len(adj) for adj in self._adjacency), dtype=np.int64, count=n
-        )
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.empty(indptr[-1], dtype=np.int64)
-        data = np.empty(indptr[-1], dtype=np.float64)
-        for i, adj in enumerate(self._adjacency):
-            start = indptr[i]
-            for offset, (j, weight) in enumerate(sorted(adj.items())):
-                indices[start + offset] = j
-                data[start + offset] = weight * inv_sqrt[i] * inv_sqrt[j]
-        return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+        rows = np.repeat(np.arange(self.num_tasks), np.diff(matrix.indptr))
+        # same left-to-right product as s_ij * d_i^-1/2 * d_j^-1/2
+        matrix.data = matrix.data * inv_sqrt[rows] * inv_sqrt[matrix.indices]
+        return matrix
 
     def similarity_csr(self) -> "sparse.csr_matrix":
         """Freeze the raw (unnormalised) similarity matrix ``S``.

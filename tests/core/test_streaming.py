@@ -117,6 +117,21 @@ class TestGrowableGraph:
         assert list(delta.new_tasks) == [2, 3, 4]
         assert not delta.is_clean
 
+    def test_normalized_csr_matches_the_entry_loop_bit_for_bit(self):
+        rng = spawn_rng(3, "normalized-csr")
+        graph = GrowableGraph()
+        graph.add_tasks(3005)  # tasks 3000.. stay isolated
+        for i in range(3000):
+            for j in rng.integers(0, 3000, size=4).tolist():
+                if j != i:
+                    graph.add_edge(i, j, float(rng.uniform(0.1, 1.0)))
+        indptr, indices, data = loop_normalized_csr(graph)
+        snapshot = graph.normalized_csr()
+        assert snapshot.indptr.tolist() == indptr
+        assert snapshot.indices.tolist() == indices
+        assert snapshot.data.dtype == np.float64
+        assert snapshot.data.tobytes() == data.tobytes()
+
     def test_similarity_csr_roundtrips_raw_weights(self):
         graph = GrowableGraph()
         graph.add_tasks(3)
@@ -128,6 +143,23 @@ class TestGrowableGraph:
         assert sim[1, 0] == pytest.approx(0.5)
         assert sim[1, 2] == pytest.approx(0.8)
         assert sim.nnz == 4
+
+
+def loop_normalized_csr(graph):
+    """``S'`` assembled entry by entry, as ``normalized_csr`` once did:
+    the oracle for the vectorised scaling."""
+    n = graph.num_tasks
+    degree = np.array([graph.degree(i) for i in range(n)], dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        inv_sqrt = 1.0 / np.sqrt(degree)
+    inv_sqrt[~np.isfinite(inv_sqrt)] = 0.0
+    indptr, indices, data = [0], [], []
+    for i in range(n):
+        for j, weight in sorted(graph.neighbors(i).items()):
+            indices.append(j)
+            data.append(weight * inv_sqrt[i] * inv_sqrt[j])
+        indptr.append(len(indices))
+    return indptr, indices, np.array(data, dtype=np.float64)
 
 
 def serve_until_refused_twice(assigner, workers, observed=0.8):
