@@ -84,4 +84,3 @@ class SparseEstimateIndex:
         value = self._values.get(task_id)
         if value is not None:
             heapq.heappush(self._heap, (-value, task_id))
-

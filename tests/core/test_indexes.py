@@ -53,7 +53,6 @@ class TestSparseEstimateIndex:
         index.restore(9)
         assert index.pop_best(set()) is None
 
-
     def test_excludes_membership_in_any_collection(self):
         index = SparseEstimateIndex()
         index.update({1: 0.9, 2: 0.8, 3: 0.7})
@@ -196,4 +195,3 @@ class TestRandomNormalizedGraph:
         a = _random_normalized_graph(100, 5, seed=4)
         b = _random_normalized_graph(100, 5, seed=4)
         assert (a != b).nnz == 0
-
