@@ -2,24 +2,26 @@
 
 The paper presents binary tasks "for ease of presentation" and notes
 the techniques extend to more choices.  This example runs a 4-choice
-classification job (which cuisine does a dish belong to?) through the
-multi-choice voting layer and iCrowd's estimator: plurality voting
-resolves tasks, the generalised Eq. (5) grades workers against the
-consensus, and the similarity graph routes estimation exactly as in
-the binary case.
+classification job (which cuisine does a dish belong to?) through
+:class:`repro.core.ICrowd` itself: the task set carries the four
+cuisines as its answer alphabet, warm-up grades workers on
+qualification dishes, plurality voting resolves tasks, Eq. (5) over
+four labels grades workers against the consensus, and the similarity
+graph routes estimation and assignment exactly as in the binary case.
+
+The script exits with status 1 unless every non-qualification dish
+reaches consensus, so it doubles as an end-to-end check of the
+m-choice path.
 
 Run:  python examples/multichoice_tasks.py
 """
 
+import sys
+
 import numpy as np
 
-from repro.core import AccuracyEstimator, SimilarityGraph
-from repro.core.config import EstimatorConfig
-from repro.core.multichoice import (
-    MultiVoteState,
-    multichoice_observed_accuracy,
-    plurality_vote,
-)
+from repro.core import ICrowd, ICrowdConfig, SimilarityGraph, Task, TaskSet
+from repro.core.config import QualificationConfig
 from repro.utils.rng import spawn_rng
 
 CUISINES = ("italian", "japanese", "mexican", "indian")
@@ -44,66 +46,101 @@ DISHES = [
     ("masala dosa potato chutney sambar", "indian", 3),
 ]
 
+#: per-cluster accuracy of each worker: two regional experts, a
+#: generalist and a guesser
+EXPERTISE = {
+    "marco": (0.95, 0.4, 0.4, 0.35),
+    "yuki": (0.4, 0.95, 0.35, 0.9),
+    "lupe": (0.5, 0.5, 0.95, 0.6),
+    "sam": (0.75, 0.75, 0.75, 0.75),
+    "pat": (0.55, 0.55, 0.55, 0.55),
+}
 
-def main() -> None:
+
+def main() -> int:
     rng = spawn_rng(4, "multichoice-demo")
+    tasks = TaskSet(
+        [
+            Task(task_id=i, text=text, domain=truth, truth=truth)
+            for i, (text, truth, _) in enumerate(DISHES)
+        ],
+        CUISINES,
+    )
     # similarity graph: cluster cliques (in practice: Jaccard on text)
     edges = []
-    for cluster in range(4):
+    for cluster in range(len(CUISINES)):
         members = [i for i, (_, _, c) in enumerate(DISHES) if c == cluster]
         for a in range(len(members)):
             for b in range(a + 1, len(members)):
                 edges.append((members[a], members[b], 1.0))
-    graph = SimilarityGraph.from_edges(len(DISHES), edges)
-    estimator = AccuracyEstimator(graph, EstimatorConfig())
+    config = ICrowdConfig(
+        qualification=QualificationConfig(
+            num_qualification=4, qualification_threshold=0.25
+        ),
+        seed=4,
+    )
+    icrowd = ICrowd(
+        tasks, config, graph=SimilarityGraph.from_edges(len(DISHES), edges)
+    )
+    print(f"qualification dishes: {icrowd.qualification_tasks}")
 
-    # three workers: an Italian-food expert, a pan-Asian expert, a guesser
-    expertise = {
-        "marco": {0: 0.95, 1: 0.4, 2: 0.4, 3: 0.35},
-        "yuki": {0: 0.4, 1: 0.95, 2: 0.35, 3: 0.9},
-        "pat": {0: 0.55, 1: 0.55, 2: 0.55, 3: 0.55},
-    }
-
-    def answer(worker, dish_index):
-        _, truth, cluster = DISHES[dish_index]
-        if rng.random() < expertise[worker][cluster]:
+    def answer(worker, dish):
+        _, truth, cluster = DISHES[dish]
+        if rng.random() < EXPERTISE[worker][cluster]:
             return truth
         wrong = [c for c in CUISINES if c != truth]
         return wrong[int(rng.integers(0, len(wrong)))]
 
-    votes, states = [], {}
-    for index in range(len(DISHES)):
-        state = MultiVoteState(
-            task_id=index, k=3, choices=CUISINES
+    # the request/answer loop a platform runs: workers take turns; a
+    # request without active_workers plans over the activity window
+    workers = list(EXPERTISE)
+    answers = 0
+    for step in range(400):
+        if icrowd.is_finished():
+            break
+        worker = workers[step % len(workers)]
+        assignment = icrowd.on_worker_request(worker)
+        if assignment is None:
+            continue
+        icrowd.on_answer(
+            worker,
+            assignment.task_id,
+            answer(worker, assignment.task_id),
+            assignment.is_test,
         )
-        for worker in expertise:
-            choice = answer(worker, index)
-            state.add(worker, choice)
-            votes.append((index, worker, choice))
-        states[index] = state
+        answers += 1
 
-    results = plurality_vote(votes, CUISINES)
-    correct = sum(
-        1 for i, (_, truth, _) in enumerate(DISHES) if results[i] == truth
+    open_tasks = icrowd.uncompleted_tasks()
+    predictions = icrowd.predictions()
+    scored = [
+        i for i in range(len(DISHES)) if i not in icrowd.qualification_tasks
+    ]
+    correct = sum(1 for i in scored if predictions[i] == DISHES[i][1])
+    print(
+        f"{len(scored) - len(open_tasks)}/{len(scored)} dishes reached "
+        f"consensus after {answers} answers; plurality accuracy "
+        f"{correct}/{len(scored)}"
     )
-    print(f"plurality accuracy: {correct}/{len(DISHES)}")
+    rejected = [w for w in workers if icrowd.is_worker_rejected(w)]
+    print(f"rejected in warm-up: {rejected or 'nobody'}")
 
-    # grade one worker via the generalised Eq. (5) and estimate her
-    # per-task accuracy over the similarity graph
-    observed = {}
-    for index, state in states.items():
-        consensus = state.consensus()
-        choice = next(c for w, c in state.answers if w == "marco")
-        co_votes = [(c, 0.7) for _, c in state.answers]
-        observed[index] = multichoice_observed_accuracy(
-            choice, consensus, co_votes, num_choices=len(CUISINES)
-        )
-    estimate = estimator.estimate(observed)
-    print("\nmarco's estimated accuracy by cuisine cluster:")
-    for cluster, cuisine in enumerate(CUISINES):
-        members = [i for i, (_, _, c) in enumerate(DISHES) if c == cluster]
-        print(f"  {cuisine:<10} {np.mean([estimate[i] for i in members]):.3f}")
+    print("\nestimated accuracy by cuisine cluster:")
+    print("  " + " " * 8 + "".join(f"{c:>10}" for c in CUISINES))
+    for worker in workers:
+        if worker in rejected:
+            continue
+        estimate = icrowd.estimate_for(worker)
+        means = [
+            np.mean([estimate[i] for i, d in enumerate(DISHES) if d[2] == c])
+            for c in range(len(CUISINES))
+        ]
+        print(f"  {worker:<8}" + "".join(f"{m:>10.3f}" for m in means))
+
+    if open_tasks:
+        print(f"dishes left without consensus: {open_tasks}")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

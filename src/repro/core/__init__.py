@@ -19,14 +19,8 @@ from repro.core.config import (
 from repro.core.estimator import AccuracyEstimator
 from repro.core.early_stop import EarlyStopICrowd
 from repro.core.framework import ICrowd
-from repro.core.framework_multi import MultiICrowd, MultiTask
 from repro.core.graph import SimilarityGraph
 from repro.core.hungarian import MatchingAssigner, hungarian, max_accuracy_matching
-from repro.core.multichoice import (
-    MultiVoteState,
-    multichoice_observed_accuracy,
-    plurality_vote,
-)
 from repro.core.indexes import SparseEstimateIndex
 from repro.core.streaming import FrozenGraph, GrowableGraph, StreamingAssigner
 from repro.core.graph_selection import (
@@ -70,7 +64,6 @@ from repro.core.types import (
     Label,
     Task,
     TaskId,
-    TaskResult,
     TaskSet,
     VoteState,
     WorkerId,
@@ -95,9 +88,6 @@ __all__ = [
     "ICrowdConfig",
     "Label",
     "MatchingAssigner",
-    "MultiICrowd",
-    "MultiTask",
-    "MultiVoteState",
     "ObservedAccuracyComputer",
     "PerformanceTester",
     "PPRBasis",
@@ -108,7 +98,6 @@ __all__ = [
     "Task",
     "TaskBoard",
     "TaskId",
-    "TaskResult",
     "TaskSet",
     "TaskState",
     "TopWorkerSet",
@@ -128,8 +117,6 @@ __all__ = [
     "load_basis",
     "load_checkpoint",
     "max_accuracy_matching",
-    "multichoice_observed_accuracy",
-    "plurality_vote",
     "power_iteration",
     "restore_state",
     "save_basis",

@@ -103,10 +103,6 @@ class TaskState:
             or worker_id in self.tested_workers
         )
 
-    def eligible(self, workers: Sequence[WorkerId]) -> list[WorkerId]:
-        """Workers in ``W^u(t_i)`` = workers not already on this task."""
-        return [w for w in workers if not self.has_seen(w)]
-
 
 #: Mark bits of :attr:`TaskBoard.marks`.
 HOLD = 1

@@ -20,7 +20,13 @@ from typing import Any
 
 from repro.aggregation.pv import verification_posterior
 from repro.core.framework import ICrowd
-from repro.core.types import AnswerOutcome, Label, TaskId, WorkerId
+from repro.core.types import (
+    BINARY_CHOICES,
+    AnswerOutcome,
+    Label,
+    TaskId,
+    WorkerId,
+)
 
 
 class EarlyStopICrowd(ICrowd):
@@ -55,6 +61,9 @@ class EarlyStopICrowd(ICrowd):
         if min_votes < 1:
             raise ValueError("min_votes must be >= 1")
         super().__init__(*args, **kwargs)
+        if self.tasks.choices != BINARY_CHOICES:
+            # the verification posterior below is binary
+            raise ValueError("early stopping needs a binary task set")
         self.confidence_threshold = confidence_threshold
         self.min_votes = min_votes
 

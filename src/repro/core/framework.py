@@ -54,7 +54,9 @@ class ICrowd:
     Parameters
     ----------
     tasks:
-        The microtask set ``T``.
+        The microtask set ``T``; its ``choices`` are the answer
+        alphabet (binary by default, or ``m`` labels for the m-choice
+        extension of Section 2.1).
     config:
         Framework configuration (paper defaults when omitted).
     graph:
@@ -65,10 +67,11 @@ class ICrowd:
         ``config.qualification.selection`` when omitted.
     recorder:
         Observability recorder threaded into the estimator and the
-        adaptive assigner (``None`` = disabled).  When both a recorder
-        and a pre-built ``estimator`` are supplied, the estimator is
-        re-bound to this recorder so a telemetry run observes the
-        shared setup's estimator too.
+        adaptive assigner (``NULL_RECORDER`` = disabled).  A pre-built
+        ``estimator`` is always re-bound to this recorder: a telemetry
+        run observes the shared setup's estimator, and a framework
+        built without a recorder stops an earlier run's registry from
+        recording through that shared estimator.
     """
 
     def __init__(
@@ -100,8 +103,7 @@ class ICrowd:
         self.estimator = estimator or AccuracyEstimator(
             self.graph, self.config.estimator, recorder=self.recorder
         )
-        if estimator is not None and recorder is not None:
-            self.estimator.recorder = self.recorder
+        self.estimator.recorder = self.recorder
         self.estimator.precompute()
 
         if qualification_tasks is None:
@@ -112,11 +114,13 @@ class ICrowd:
             truth,
             threshold=self.config.qualification.qualification_threshold,
         )
-        self._observed_computer = ObservedAccuracyComputer(truth)
+        self._observed_computer = ObservedAccuracyComputer(
+            truth, num_choices=len(tasks.choices)
+        )
 
         k = self.config.assigner.k
         self._votes: dict[TaskId, VoteState] = {
-            t: VoteState(task_id=t, k=k)
+            t: VoteState(task_id=t, k=k, choices=tasks.choices)
             for t in tasks.ids()
             if t not in truth
         }
@@ -213,8 +217,13 @@ class ICrowd:
         POSTs) leave every piece of state — votes, clocks, estimates —
         untouched and report :attr:`AnswerOutcome.DUPLICATE`; votes for
         tasks that completed in the meantime are ``IGNORED`` rather
-        than appended past ``k``.
+        than appended past ``k``.  A label outside the task set's
+        choices raises ``ValueError`` before any state changes.
         """
+        if label not in self.tasks.choices:
+            raise ValueError(
+                f"label {label!r} not among the choices {self.tasks.choices}"
+            )
         outcome = self._classify_answer(worker_id, task_id, is_test)
         if not outcome.accepted:
             return outcome
@@ -303,18 +312,26 @@ class ICrowd:
     def _consensus_label(self, vote_state: VoteState) -> Label:
         """Consensus under the configured rule (Section 2.1).
 
-        "majority" is the paper's default simple majority; "weighted"
-        weighs each vote by the voter's current estimated accuracy on
-        the task, which lets one demonstrated expert overrule two
-        doubtful voters.
+        "majority" is the paper's default simple majority (plurality
+        with m choices); "weighted" weighs each vote by the voter's
+        current estimated accuracy on the task, which lets one
+        demonstrated expert overrule two doubtful voters.  Each choice
+        scores ``+w`` per vote for it and ``-w`` per vote against it;
+        ties go to the earlier choice.
         """
         if self.config.consensus == "majority":
             return vote_state.consensus()
-        score = 0.0
-        for vote in vote_state.answers:
-            weight = self._accuracy_of(vote.worker_id, vote.task_id)
-            score += weight if vote.label is Label.YES else -weight
-        return Label.YES if score > 0 else Label.NO
+        weights = [
+            self._accuracy_of(vote.worker_id, vote.task_id)
+            for vote in vote_state.answers
+        ]
+        scores: list[float] = []
+        for choice in vote_state.choices:
+            score = 0.0
+            for vote, weight in zip(vote_state.answers, weights):
+                score += weight if vote.label == choice else -weight
+            scores.append(score)
+        return vote_state.choices[scores.index(max(scores))]
 
     # ------------------------------------------------------------------
     # estimation plumbing
@@ -437,8 +454,8 @@ class ICrowd:
 
     def predictions(self) -> dict[TaskId, Label]:
         """Current results: consensus where complete, else running
-        majority (ties toward NO); qualification tasks map to their
-        ground truth (the requester labelled them)."""
+        plurality (ties toward the earlier choice); qualification tasks
+        map to their ground truth (the requester labelled them)."""
         out: dict[TaskId, Label] = {}
         for task_id in self.tasks.ids():
             if task_id in self.warmup.qualification_truth:

@@ -15,6 +15,11 @@ globally completed microtask ``t_i``:
   i.e. the posterior probability that the consensus (resp. minority)
   answer is the correct one, given the current accuracy estimates of
   everyone who voted — the worker herself included.
+
+With ``m`` choices (the Section 2.1 extension) a wrong worker picks
+each specific wrong label with probability ``(1 - p) / (m - 1)``, and
+``q_i^w`` is the posterior of the worker's own label over all ``m``
+labels.  At ``m = 2`` that is the formula above, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ def consensus_observed_accuracy(
     worker_label: Label,
     consensus: Label,
     votes: Iterable[tuple[Label, float]],
+    num_choices: int = 2,
 ) -> float:
     """Equation (5) for one worker on one consensus task.
 
@@ -44,38 +50,60 @@ def consensus_observed_accuracy(
     worker_label:
         The answer submitted by the worker being scored.
     consensus:
-        The task's majority answer.
+        The task's consensus answer.  Eq. (5) scores agreement with it
+        and disagreement with it alike as the posterior of the worker's
+        own label, so the value does not depend on it.
     votes:
         ``(label, estimated_accuracy)`` for *every* worker that voted on
         the task, including the worker being scored.
+    num_choices:
+        Size ``m`` of the answer alphabet.
 
     Returns
     -------
     float
         ``q_i^w`` in (0, 1).
+
+    A label's likelihood is ``Π p`` over its voters times
+    ``Π (1 - p) / (m - 1)`` over all other voters; the posterior
+    normalises over all ``m`` labels, the ones nobody voted for
+    included.  Labels are visited in first-vote order.
     """
-    p_agree = 1.0  # P1:  all agreeing workers answer correctly
-    p_agree_bar = 1.0  # P̄1: all agreeing workers answer incorrectly
-    p_disagree = 1.0  # P2
-    p_disagree_bar = 1.0  # P̄2
+    if num_choices < 2:
+        raise ValueError("num_choices must be at least 2")
+    spread = num_choices - 1
+    scored: list[tuple[Label, float, float]] = []
+    unvoted = 1.0  # likelihood of a label nobody voted for
     for label, accuracy in votes:
         accuracy = _clamp(accuracy)
-        if label == consensus:
-            p_agree *= accuracy
-            p_agree_bar *= 1.0 - accuracy
-        else:
-            p_disagree *= accuracy
-            p_disagree_bar *= 1.0 - accuracy
-    numerator_match = p_agree * p_disagree_bar
-    numerator_mismatch = p_agree_bar * p_disagree
-    denominator = numerator_match + numerator_mismatch
+        miss = (1.0 - accuracy) / spread  # P(picks a given wrong label)
+        unvoted *= miss
+        scored.append((label, accuracy, miss))
+    likelihood: dict[Label, float] = {}
+    for candidate, _, _ in scored:
+        if candidate in likelihood:
+            continue
+        right = 1.0  # Π p over the candidate's voters
+        wrong = 1.0  # Π (1 - p) / (m - 1) over everyone else
+        for label, accuracy, miss in scored:
+            if label == candidate:
+                right *= accuracy
+            else:
+                wrong *= miss
+        likelihood[candidate] = right * wrong
+    if len(likelihood) > num_choices:
+        raise ValueError(
+            f"{len(likelihood)} distinct labels voted, num_choices is "
+            f"{num_choices}"
+        )
+    denominator = (
+        sum(likelihood.values()) + (num_choices - len(likelihood)) * unvoted
+    )
     # repro-lint: disable=RL004 -- exact-zero guard before division
     if denominator == 0.0:
-        # degenerate accuracies cancelled out; fall back to a coin flip
-        return 0.5
-    if worker_label == consensus:
-        return numerator_match / denominator
-    return numerator_mismatch / denominator
+        # degenerate accuracies cancelled out; fall back to a uniform guess
+        return 1.0 / num_choices
+    return likelihood.get(worker_label, unvoted) / denominator
 
 
 class ObservedAccuracyComputer:
@@ -87,9 +115,15 @@ class ObservedAccuracyComputer:
     records, and an accuracy lookup for co-voters.
     """
 
-    def __init__(self, qualification_truth: Mapping[TaskId, Label]) -> None:
-        """``qualification_truth`` maps qualification task id → gold label."""
+    def __init__(
+        self,
+        qualification_truth: Mapping[TaskId, Label],
+        num_choices: int = 2,
+    ) -> None:
+        """``qualification_truth`` maps qualification task id → gold
+        label; ``num_choices`` is the task set's alphabet size ``m``."""
         self._qualification_truth = dict(qualification_truth)
+        self._num_choices = num_choices
 
     @property
     def qualification_tasks(self) -> set[TaskId]:
@@ -114,7 +148,9 @@ class ObservedAccuracyComputer:
             (vote.label, accuracy_of(vote.worker_id, vote.task_id))
             for vote in task_votes
         ]
-        return consensus_observed_accuracy(answer.label, consensus, votes)
+        return consensus_observed_accuracy(
+            answer.label, consensus, votes, self._num_choices
+        )
 
     def compute(
         self,

@@ -2,9 +2,11 @@
 
 The paper (Section 2.1) models crowdsourcing as a set of binary
 *microtasks* answered by a dynamic set of *workers*.  Each microtask is
-assigned to ``k`` workers and resolved by majority voting.  These types
-are deliberately small, immutable where possible, and free of behaviour
-that belongs to the estimator / assigner layers.
+assigned to ``k`` workers and resolved by majority voting; a task set
+with ``m`` choices (the extension the paper notes) is resolved by
+plurality.  These types are deliberately small, immutable where
+possible, and free of behaviour that belongs to the estimator /
+assigner layers.
 """
 
 from __future__ import annotations
@@ -57,9 +59,13 @@ class Label(enum.IntEnum):
         return cls.YES if value else cls.NO
 
 
+#: The answer alphabet of a binary task set, in tie-breaking order.
+BINARY_CHOICES: tuple[Label, ...] = (Label.NO, Label.YES)
+
+
 @dataclass(frozen=True)
 class Task:
-    """A binary microtask.
+    """A microtask (binary unless its :class:`TaskSet` has more choices).
 
     Attributes
     ----------
@@ -119,39 +125,42 @@ class Assignment:
     is_test: bool = False
 
 
-@dataclass
-class TaskResult:
-    """Aggregated outcome of a globally completed task."""
-
-    task_id: TaskId
-    consensus: Label
-    votes_yes: int
-    votes_no: int
-
-    @property
-    def total_votes(self) -> int:
-        return self.votes_yes + self.votes_no
-
-    @property
-    def margin(self) -> int:
-        """Vote margin of the winning label (ties return zero)."""
-        return abs(self.votes_yes - self.votes_no)
-
-
 class TaskSet:
     """An ordered, indexable collection of :class:`Task` objects.
 
     Provides O(1) lookup by id and convenience accessors used throughout
     the estimator and the experiment harness.
+
+    ``choices`` is the answer alphabet every task shares:
+    :data:`BINARY_CHOICES` by default, or any ``m >= 2`` distinct
+    hashable labels for the m-choice extension of Section 2.1 (strings
+    in practice; the static types name the binary :class:`Label`).
+    Its order breaks consensus ties toward the earlier choice.
     """
 
-    def __init__(self, tasks: Sequence[Task]) -> None:
+    def __init__(
+        self,
+        tasks: Sequence[Task],
+        choices: Sequence[Label] = BINARY_CHOICES,
+    ) -> None:
         tasks = list(tasks)
         for expected, task in enumerate(tasks):
             if task.task_id != expected:
                 raise ValueError(
                     f"task ids must be dense 0..n-1; got {task.task_id} at "
                     f"position {expected}"
+                )
+        self.choices: tuple[Label, ...] = tuple(choices)
+        distinct = len(set(self.choices))
+        if distinct < 2 or distinct < len(self.choices):
+            raise ValueError(
+                f"need at least two distinct choices, got {self.choices}"
+            )
+        for task in tasks:
+            if task.truth not in self.choices:
+                raise ValueError(
+                    f"task {task.task_id} truth {task.truth!r} not in "
+                    f"the choice set"
                 )
         self._tasks: list[Task] = tasks
 
@@ -190,10 +199,12 @@ class VoteState:
 
     Tracks who answered what, and whether the task has reached its
     consensus ("globally completed" in the paper's terminology).
+    ``choices`` is the task set's answer alphabet.
     """
 
     task_id: TaskId
     k: int
+    choices: tuple[Label, ...] = BINARY_CHOICES
     answers: list[Answer] = field(default_factory=list)
 
     def workers(self) -> set[WorkerId]:
@@ -201,7 +212,12 @@ class VoteState:
         return {a.worker_id for a in self.answers}
 
     def add(self, answer: Answer) -> None:
-        """Record an answer; a worker may vote at most once per task."""
+        """Record an answer; a worker may vote at most once per task,
+        and only for one of the choices."""
+        if answer.label not in self.choices:
+            raise ValueError(
+                f"choice {answer.label!r} not among {self.choices}"
+            )
         if answer.worker_id in self.workers():
             raise ValueError(
                 f"worker {answer.worker_id} already answered task "
@@ -209,27 +225,12 @@ class VoteState:
             )
         self.answers.append(answer)
 
-    @property
-    def votes_yes(self) -> int:
-        return sum(1 for a in self.answers if a.label is Label.YES)
-
-    @property
-    def votes_no(self) -> int:
-        return sum(1 for a in self.answers if a.label is Label.NO)
-
     def is_complete(self) -> bool:
         """True once ``k`` answers are collected (global completion)."""
         return len(self.answers) >= self.k
 
     def consensus(self) -> Label:
-        """Majority label; ties break toward NO (k is odd in the paper)."""
-        return Label.YES if self.votes_yes > self.votes_no else Label.NO
-
-    def result(self) -> TaskResult:
-        """Freeze the current tallies into a :class:`TaskResult`."""
-        return TaskResult(
-            task_id=self.task_id,
-            consensus=self.consensus(),
-            votes_yes=self.votes_yes,
-            votes_no=self.votes_no,
-        )
+        """Plurality label; ties break toward the earlier choice (toward
+        NO on binary tasks, where k is odd in the paper)."""
+        labels = [a.label for a in self.answers]
+        return max(self.choices, key=labels.count)

@@ -51,7 +51,7 @@ from repro.platform.payments import PaymentLedger
 class PolicyProtocol(Protocol):
     """What an assignment policy provides to be served by a session.
 
-    :class:`repro.core.ICrowd`, :class:`repro.core.MultiICrowd` and
+    :class:`repro.core.ICrowd` (over binary or m-choice task sets) and
     every baseline in :mod:`repro.baselines` implement every member;
     the session and both front-ends call them directly.
     """

@@ -23,7 +23,8 @@ def compute_top_worker_set(state, active_workers, accuracies):
     """Build Ŵ(t_i) for one task, or None when nothing can be assigned."""
     if state.completed or state.remaining == 0:
         return None
-    eligible = state.eligible(active_workers)
+    # W^u(t_i): the active workers not already on this task
+    eligible = [w for w in active_workers if not state.has_seen(w)]
     if not eligible:
         return None
     scored = sorted(

@@ -54,12 +54,6 @@ class TestTaskState:
         assert state.has_seen("t")
         assert not state.has_seen("x")
 
-    def test_eligible_excludes_seen(self):
-        state = TaskState(
-            task_id=0, k=3, assigned_workers={"a"}, tested_workers={"b"}
-        )
-        assert state.eligible(["a", "b", "c"]) == ["c"]
-
 
 class TestComputeTopWorkerSet:
     def test_paper_table3_t4(self):

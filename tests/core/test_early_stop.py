@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.early_stop import EarlyStopICrowd
-from repro.core.types import AnswerOutcome, Label
+from repro.core.types import AnswerOutcome, Label, Task, TaskSet
 from tests.core.board_oracle import assert_board_matches_records
 
 
@@ -79,6 +79,15 @@ class TestEarlyStop:
                 qualification_tasks=[0, 1],
                 min_votes=0,
             )
+
+    def test_rejects_m_choice_tasks(self, tiny_config):
+        choices = ("cat", "dog", "bird")
+        tasks = TaskSet(
+            [Task(i, f"pet photo {i}", "d", choices[i % 3]) for i in range(6)],
+            choices,
+        )
+        with pytest.raises(ValueError, match="binary"):
+            EarlyStopICrowd(tasks, tiny_config, qualification_tasks=[0, 1])
 
 
 class TestBudgetSavings:

@@ -11,7 +11,8 @@ from repro.core.config import (
     QualificationConfig,
 )
 from repro.core.framework import ICrowd
-from repro.core.types import Label
+from repro.core.types import Answer, Label, VoteState
+from repro.utils.rng import spawn_rng
 
 
 @pytest.fixture
@@ -62,6 +63,28 @@ class TestConstruction:
                 graph=paper_graph,
                 estimator=estimator,
             )
+
+    def test_shared_estimator_is_rebound_to_the_recorder(
+        self, paper_tasks, paper_graph, tiny_config
+    ):
+        """A framework built without a recorder re-binds a shared
+        estimator to ``NULL_RECORDER``, so the registry of an earlier
+        run stops recording through it."""
+        from repro.core.estimator import AccuracyEstimator
+        from repro.obs.metrics import NULL_RECORDER, MetricsRegistry
+
+        estimator = AccuracyEstimator(paper_graph, tiny_config.estimator)
+        registry = MetricsRegistry()
+        ICrowd(
+            paper_tasks, tiny_config, qualification_tasks=[0, 1],
+            estimator=estimator, recorder=registry,
+        )
+        assert estimator.recorder is registry
+        ICrowd(
+            paper_tasks, tiny_config, qualification_tasks=[0, 1],
+            estimator=estimator,
+        )
+        assert estimator.recorder is NULL_RECORDER
 
 
 class TestWarmUpFlow:
@@ -286,6 +309,32 @@ class TestWeightedConsensus:
         majority_framework.on_answer("weak1", 5, Label.NO)
         majority_framework.on_answer("weak2", 5, Label.NO)
         assert majority_framework.predictions()[5] is Label.NO
+
+    def test_matches_the_signed_score_at_two_choices(
+        self, paper_tasks, paper_graph, tiny_config
+    ):
+        """Scoring each of the two choices equals the binary rule:
+        YES iff the signed score ``Σ ±w`` in vote order is positive."""
+        framework = self.make_framework(
+            paper_tasks, paper_graph, tiny_config
+        )
+        weight_of = {}
+        framework._accuracy_of = lambda worker, _task: weight_of[worker]
+        rng = spawn_rng(5, "weighted-binary")
+        for _ in range(2000):
+            k = int(rng.integers(1, 8))
+            # coarse weights make exact ties common
+            weights = [float(rng.integers(0, 5)) / 4 for _ in range(k)]
+            labels = [Label(int(rng.integers(0, 2))) for _ in range(k)]
+            votes = VoteState(task_id=5, k=k)
+            for i, label in enumerate(labels):
+                votes.add(Answer(5, f"w{i}", label))
+                weight_of[f"w{i}"] = weights[i]
+            score = 0.0
+            for label, weight in zip(labels, weights):
+                score += weight if label is Label.YES else -weight
+            expected = Label.YES if score > 0 else Label.NO
+            assert framework._consensus_label(votes) is expected
 
     def test_unanimous_unaffected_by_rule(
         self, paper_tasks, paper_graph, tiny_config

@@ -1,10 +1,11 @@
-"""Unit tests for the multi-choice framework orchestrator."""
+"""``ICrowd`` over a 3-choice task set (the Section 2.1 extension)."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import GraphConfig, ICrowdConfig, QualificationConfig
-from repro.core.framework_multi import MultiICrowd, MultiTask
+from repro.core.framework import ICrowd
+from repro.core.types import AnswerOutcome, Task, TaskSet
 from repro.utils.rng import spawn_rng
 from tests.core import online_oracle
 from tests.core.board_oracle import assert_board_matches_records
@@ -17,7 +18,7 @@ def make_tasks():
     rows = []
     for i in range(6):
         rows.append(
-            MultiTask(
+            Task(
                 task_id=i,
                 text=f"animal farm barn picture {i} shared words",
                 domain="farm",
@@ -26,14 +27,14 @@ def make_tasks():
         )
     for i in range(6, 12):
         rows.append(
-            MultiTask(
+            Task(
                 task_id=i,
                 text=f"pet city apartment photo {i} common tokens",
                 domain="city",
                 truth=CHOICES[i % 3],
             )
         )
-    return rows
+    return TaskSet(rows, CHOICES)
 
 
 @pytest.fixture
@@ -44,9 +45,7 @@ def framework():
         ),
         graph=GraphConfig(measure="jaccard", threshold=0.3),
     )
-    return MultiICrowd(
-        make_tasks(), CHOICES, config, qualification_tasks=[0, 6]
-    )
+    return ICrowd(make_tasks(), config, qualification_tasks=[0, 6])
 
 
 def finish_warmup(framework, worker, correct=True):
@@ -66,19 +65,19 @@ def finish_warmup(framework, worker, correct=True):
 
 class TestConstruction:
     def test_validates_truth_in_choices(self):
-        bad = [MultiTask(0, "x", "d", "dragon")]
+        bad = [Task(0, "x", "d", "dragon")]
         with pytest.raises(ValueError, match="not in"):
-            MultiICrowd(bad, CHOICES)
+            TaskSet(bad, CHOICES)
 
     def test_validates_dense_ids(self):
-        bad = [MultiTask(3, "x", "d", "cat")]
+        bad = [Task(3, "x", "d", "cat")]
         with pytest.raises(ValueError, match="dense"):
-            MultiICrowd(bad, CHOICES)
+            TaskSet(bad, CHOICES)
 
     def test_validates_choice_count(self):
-        tasks = [MultiTask(0, "x", "d", "cat")]
+        tasks = [Task(0, "x", "d", "cat")]
         with pytest.raises(ValueError, match="two distinct"):
-            MultiICrowd(tasks, ("cat",))
+            TaskSet(tasks, ("cat",))
 
     def test_auto_qualification(self):
         config = ICrowdConfig(
@@ -87,7 +86,7 @@ class TestConstruction:
             ),
             graph=GraphConfig(measure="jaccard", threshold=0.3),
         )
-        framework = MultiICrowd(make_tasks(), CHOICES, config)
+        framework = ICrowd(make_tasks(), config)
         assert len(framework.qualification_tasks) == 3
 
 
@@ -101,8 +100,6 @@ class TestFlow:
         """A vote held past its lease expiry, arriving after the same
         worker answered the re-leased task as a performance test, must
         not count."""
-        from repro.core.types import AnswerOutcome
-
         assignment = finish_warmup(framework, "w1")
         assert assignment is not None and not assignment.is_test
         task_id = assignment.task_id
@@ -117,6 +114,25 @@ class TestFlow:
         assert framework._votes[task_id].answers == votes_before
         assert_board_matches_records(framework._board)
 
+    def test_label_outside_the_choices_changes_nothing(self, framework):
+        finish_warmup(framework, "w1")
+        state = (
+            framework._clock,
+            framework._seq,
+            framework.assignment_epoch,
+            dict(framework._last_seen),
+        )
+        for task_id, is_test in ((0, False), (2, False), (3, True)):
+            with pytest.raises(ValueError, match="not among"):
+                framework.on_answer("w1", task_id, "dragon", is_test)
+        assert state == (
+            framework._clock,
+            framework._seq,
+            framework.assignment_epoch,
+            dict(framework._last_seen),
+        )
+        assert framework._votes[2].answers == []
+
     def test_plurality_completion(self, framework):
         for worker in ("w1", "w2", "w3"):
             finish_warmup(framework, worker)
@@ -125,6 +141,42 @@ class TestFlow:
         framework.on_answer("w3", 2, "bird")
         assert 2 in framework.completed_tasks()
         assert framework.predictions()[2] == "dog"
+
+    def test_weighted_consensus_lets_an_expert_win(self, framework):
+        """Under the weighted rule one confident vote for "bird"
+        outscores two doubtful votes for "dog" (0.95 - 0.4 against
+        -0.95 + 0.4); plurality picks "dog"."""
+        weighted = ICrowd(
+            make_tasks(),
+            framework.config.with_consensus("weighted"),
+            qualification_tasks=[0, 6],
+        )
+        weight_of = {"expert": 0.95, "d1": 0.2, "d2": 0.2}
+        for policy in (framework, weighted):
+            policy._accuracy_of = lambda worker, _task: weight_of[worker]
+            policy.on_answer("expert", 2, "bird")
+            policy.on_answer("d1", 2, "dog")
+            policy.on_answer("d2", 2, "dog")
+        assert framework.consensus(2) == "dog"
+        assert weighted.consensus(2) == "bird"
+
+    def test_default_actives_are_the_activity_window(
+        self, framework, monkeypatch
+    ):
+        """A request without ``active_workers`` (as the HTTP server
+        sends it) plans Algorithm 3 over every recently seen worker."""
+        for worker in ("w1", "w2", "w3"):
+            finish_warmup(framework, worker)
+        planned = []
+        choose = framework._choose_assignment
+
+        def spy(worker_id, actives):
+            planned.append(sorted(actives))
+            return choose(worker_id, actives)
+
+        monkeypatch.setattr(framework, "_choose_assignment", spy)
+        framework.on_worker_request("w1")
+        assert planned == [["w1", "w2", "w3"]]
 
     def test_rejection(self, framework):
         config_threshold = framework.warmup.threshold
@@ -160,9 +212,7 @@ class TestFlow:
             graph=GraphConfig(measure="jaccard", threshold=0.3),
         )
         tasks = make_tasks()
-        framework = MultiICrowd(
-            tasks, CHOICES, config, qualification_tasks=[0, 6]
-        )
+        framework = ICrowd(tasks, config, qualification_tasks=[0, 6])
         rng = spawn_rng(1, "multi-full")
         truth = {t.task_id: t.truth for t in tasks}
         workers = [f"w{i}" for i in range(5)]
@@ -198,7 +248,7 @@ class TestFlow:
         assert accuracy > 0.6
 
     def test_test_choice_matches_oracle(self):
-        """``MultiICrowd``'s own tester, over ``_observed_of``, picks the
+        """The framework's own tester, over ``_observed_of``, picks the
         per-candidate oracle's test task for every worker mid-job."""
         config = ICrowdConfig(
             qualification=QualificationConfig(
@@ -207,9 +257,7 @@ class TestFlow:
             graph=GraphConfig(measure="jaccard", threshold=0.3),
         )
         tasks = make_tasks()
-        framework = MultiICrowd(
-            tasks, CHOICES, config, qualification_tasks=[0, 6]
-        )
+        framework = ICrowd(tasks, config, qualification_tasks=[0, 6])
         truth = {t.task_id: t.truth for t in tasks}
         rng = spawn_rng(2, "multi-tester")
         workers = [f"w{i}" for i in range(6)]

@@ -54,6 +54,18 @@ class TestTaskSet:
         with pytest.raises(ValueError, match="dense"):
             TaskSet(tasks)
 
+    def test_choices_default_to_binary(self):
+        tasks = TaskSet([Task(0, "x", "d", Label.YES)])
+        assert tasks.choices == (Label.NO, Label.YES)
+
+    def test_rejects_bad_choices(self):
+        tasks = [Task(0, "x", "d", "a")]
+        for choices in (("a",), ("a", "a"), ("a", "b", "a")):
+            with pytest.raises(ValueError, match="two distinct"):
+                TaskSet(tasks, choices)
+        with pytest.raises(ValueError, match="not in"):
+            TaskSet(tasks)
+
     def test_len_and_indexing(self):
         tasks = TaskSet(
             [Task(i, f"t{i}", "d", Label.NO) for i in range(4)]
@@ -112,11 +124,6 @@ class TestVoteState:
         state.add(Answer(0, "w2", Label.YES))
         state.add(Answer(0, "w3", Label.NO))
         assert state.consensus() is Label.YES
-        result = state.result()
-        assert result.votes_yes == 2
-        assert result.votes_no == 1
-        assert result.margin == 1
-        assert result.total_votes == 3
 
     def test_tie_breaks_to_no(self):
         state = VoteState(task_id=0, k=2)

@@ -1,8 +1,8 @@
-"""Integration test: the multi-choice voting layer end to end.
+"""Integration test: the m-choice voting layer against the estimator.
 
-Simulates a small multi-choice crowdsourcing job by hand (the binary
-``ICrowd`` framework is label-agnostic above the voting layer, so this
-exercises the multichoice module against the estimator directly).
+Simulates a small multi-choice crowdsourcing job by hand (everything
+above the voting layer only sees observed accuracies, so this drives
+:class:`VoteState` and m-choice Eq. (5) into the estimator directly).
 """
 
 import numpy as np
@@ -10,11 +10,8 @@ import numpy as np
 from repro.core.config import EstimatorConfig
 from repro.core.estimator import AccuracyEstimator
 from repro.core.graph import SimilarityGraph
-from repro.core.multichoice import (
-    MultiVoteState,
-    multichoice_observed_accuracy,
-    plurality_vote,
-)
+from repro.core.observed import consensus_observed_accuracy
+from repro.core.types import Answer, VoteState
 from repro.utils.rng import spawn_rng
 
 CHOICES = ("rock", "paper", "scissors")
@@ -46,29 +43,26 @@ def test_multichoice_job_with_graph_estimation():
         wrong = [c for c in CHOICES if c != truth[task]]
         return wrong[int(rng.integers(0, 2))]
 
-    votes = []
     states = {}
     for task in range(10):
-        state = MultiVoteState(task_id=task, k=3, choices=CHOICES)
+        state = VoteState(task_id=task, k=3, choices=CHOICES)
         for worker in ("A", "B", "C"):
-            choice = answer(worker, task)
-            state.add(worker, choice)
-            votes.append((task, worker, choice))
+            state.add(Answer(task, worker, answer(worker, task)))
+        assert state.is_complete()
         states[task] = state
-
-    results = plurality_vote(votes, CHOICES)
-    assert set(results) == set(range(10))
 
     # observed accuracies for worker A via the generalised Eq. (5)
     observed_a = {}
     for task, state in states.items():
         consensus = state.consensus()
-        worker_choice = next(c for w, c in state.answers if w == "A")
+        worker_choice = next(
+            a.label for a in state.answers if a.worker_id == "A"
+        )
         vote_list = [
-            (c, 0.7)  # flat prior estimates for co-voters
-            for _, c in state.answers
+            (a.label, 0.7)  # flat prior estimates for co-voters
+            for a in state.answers
         ]
-        observed_a[task] = multichoice_observed_accuracy(
+        observed_a[task] = consensus_observed_accuracy(
             worker_choice, consensus, vote_list, num_choices=3
         )
     estimate = estimator.estimate(observed_a)

@@ -21,8 +21,7 @@ from repro.baselines import (
 )
 from repro.core import ICrowd
 from repro.core.early_stop import EarlyStopICrowd
-from repro.core.framework_multi import MultiICrowd, MultiTask
-from repro.core.types import AnswerOutcome, Label
+from repro.core.types import AnswerOutcome, Label, Task, TaskSet
 from repro.platform import (
     AnswerEvent,
     CompleteEvent,
@@ -42,7 +41,7 @@ POLICIES = (
     "RandomMV",
     "RandomEM",
     "AvgAccPV",
-    "MultiICrowd",
+    "MultiICrowd",  # ICrowd over a 3-choice task set
 )
 FRAMEWORKS = {
     "iCrowd": ICrowd,
@@ -54,15 +53,18 @@ FRAMEWORKS = {
 
 
 def multi_tasks():
-    return [
-        MultiTask(
-            task_id=i,
-            text=f"animal picture {i // 6} shared words",
-            domain=f"d{i // 6}",
-            truth=CHOICES[i % 3],
-        )
-        for i in range(12)
-    ]
+    return TaskSet(
+        [
+            Task(
+                task_id=i,
+                text=f"animal picture {i // 6} shared words",
+                domain=f"d{i // 6}",
+                truth=CHOICES[i % 3],
+            )
+            for i in range(12)
+        ],
+        CHOICES,
+    )
 
 
 @pytest.fixture
@@ -80,9 +82,8 @@ def case(request, paper_tasks, paper_graph, tiny_config):
     if name == "AvgAccPV":
         return AvgAccPV(paper_tasks, QUALIFICATION, k=3), Label.YES
     if name == "MultiICrowd":
-        policy = MultiICrowd(
-            multi_tasks(), CHOICES, tiny_config,
-            qualification_tasks=QUALIFICATION,
+        policy = ICrowd(
+            multi_tasks(), tiny_config, qualification_tasks=QUALIFICATION
         )
         return policy, CHOICES[0]
     policy_cls = {"RandomMV": RandomMV, "RandomEM": RandomEM}[name]

@@ -1,70 +1,85 @@
-"""Property-based tests for the multi-choice voting layer."""
+"""Property-based tests for the m-choice voting layer and Eq. (5).
+
+Votes are drawn from the first ``m`` labels of :data:`CHOICES`, so
+every vote set is one the m-choice model can produce.
+"""
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.multichoice import (
-    MultiVoteState,
-    multichoice_observed_accuracy,
-    plurality_vote,
+from repro.core.observed import consensus_observed_accuracy
+from repro.core.types import Answer, Label, VoteState
+from tests.core.eq5_oracle import (
+    binary_observed_accuracy,
+    logsumexp_observed_accuracy,
 )
 
-CHOICES = ("a", "b", "c", "d")
+CHOICES = tuple("abcdefghij")
+BINARY = (Label.NO, Label.YES)
 
-choice = st.sampled_from(CHOICES)
 accuracy = st.floats(min_value=0.0, max_value=1.0)
-votes_strategy = st.lists(
-    st.tuples(choice, accuracy), min_size=1, max_size=8
-)
+
+
+def first_choices(min_m):
+    """Alphabets ``CHOICES[:m]`` for ``m`` from ``min_m`` to 10."""
+    return st.integers(min_m, len(CHOICES)).map(lambda m: CHOICES[:m])
+
+
+@st.composite
+def vote_sets(draw, alphabets=first_choices(2)):
+    """(alphabet, votes, worker label, consensus); ``k`` up to 7, and
+    unanimous vote sets drawn on purpose."""
+    alphabet = draw(alphabets)
+    label = st.sampled_from(alphabet)
+    labels = draw(st.lists(label, min_size=1, max_size=7))
+    if draw(st.booleans()):
+        labels = [labels[0]] * len(labels)
+    votes = [(voted, draw(accuracy)) for voted in labels]
+    return alphabet, votes, draw(label), draw(label)
 
 
 class TestObservedAccuracyProperties:
-    @given(
-        votes=votes_strategy,
-        worker=choice,
-        consensus=choice,
-        m=st.integers(2, 10),
-    )
+    @given(case=vote_sets())
     @settings(max_examples=150)
-    def test_in_unit_interval(self, votes, worker, consensus, m):
-        value = multichoice_observed_accuracy(
-            worker, consensus, votes, num_choices=m
+    def test_in_unit_interval(self, case):
+        alphabet, votes, worker, consensus = case
+        value = consensus_observed_accuracy(
+            worker, consensus, votes, num_choices=len(alphabet)
         )
         assert 0.0 <= value <= 1.0
 
-    @given(votes=votes_strategy, consensus=choice, m=st.integers(2, 10))
+    @given(case=vote_sets())
     @settings(max_examples=150)
-    def test_candidate_posteriors_sum_to_at_most_one(
-        self, votes, consensus, m
-    ):
-        """The per-label posteriors over any label set are a
-        sub-distribution: summing the observed accuracy over all
-        distinct worker labels (holding the consensus fixed) never
-        exceeds 1 plus the agreeing worker's share counted once."""
-        labels = {c for c, _ in votes} | {consensus}
-        total = 0.0
-        for label in labels:
-            value = multichoice_observed_accuracy(
+    def test_candidate_posteriors_sum_to_at_most_one(self, case):
+        """Each label's observed accuracy is the posterior of that
+        label being true: the voted labels' posteriors sum to at most
+        one, and all ``m`` labels' to one."""
+        alphabet, votes, _, consensus = case
+        m = len(alphabet)
+        posterior = {
+            label: consensus_observed_accuracy(
                 label, consensus, votes, num_choices=m
             )
-            if label == consensus:
-                total += value
-            else:
-                total += value
-        # each summand is the posterior of a distinct candidate label
-        # being true, so the sum over all candidates is exactly 1
-        assert total <= 1.0 + 1e-6
+            for label in alphabet
+        }
+        voted = dict.fromkeys(label for label, _ in votes)
+        assert sum(posterior[label] for label in voted) <= 1.0 + 1e-9
+        assert abs(sum(posterior.values()) - 1.0) < 1e-9
 
-    @given(votes=votes_strategy, m=st.integers(2, 10))
+    @given(case=vote_sets())
     @settings(max_examples=100)
-    def test_relabeling_symmetry(self, votes, m):
+    def test_relabeling_symmetry(self, case):
         """Permuting label names leaves observed accuracies unchanged."""
-        mapping = {"a": "b", "b": "c", "c": "d", "d": "a"}
+        alphabet, votes, _, _ = case
+        m = len(alphabet)
+        mapping = {c: alphabet[(i + 1) % m] for i, c in enumerate(alphabet)}
         permuted = [(mapping[c], p) for c, p in votes]
-        original = multichoice_observed_accuracy(
+        original = consensus_observed_accuracy(
             votes[0][0], votes[0][0], votes, num_choices=m
         )
-        renamed = multichoice_observed_accuracy(
+        renamed = consensus_observed_accuracy(
             mapping[votes[0][0]],
             mapping[votes[0][0]],
             permuted,
@@ -73,30 +88,57 @@ class TestObservedAccuracyProperties:
         assert abs(original - renamed) < 1e-9
 
 
+class TestEq5MatchesOracles:
+    @given(case=vote_sets(alphabets=st.just(BINARY)))
+    @settings(max_examples=400)
+    def test_binary_equals_the_two_label_formula(self, case):
+        """At m = 2 the product form is the paper's formula bit for
+        bit, unanimous vote sets included."""
+        _, votes, worker, consensus = case
+        assert consensus_observed_accuracy(
+            worker, consensus, votes, num_choices=2
+        ) == binary_observed_accuracy(worker, consensus, votes)
+
+    @given(case=vote_sets(alphabets=first_choices(3)))
+    @settings(max_examples=300)
+    def test_m_choice_equals_the_log_space_posterior(self, case):
+        alphabet, votes, worker, consensus = case
+        value = consensus_observed_accuracy(
+            worker, consensus, votes, num_choices=len(alphabet)
+        )
+        expected = logsumexp_observed_accuracy(worker, votes, alphabet)
+        assert abs(value - expected) <= 1e-12
+
+
 @st.composite
 def vote_script(draw):
     n_votes = draw(st.integers(1, 7))
     return [
-        (f"w{i}", draw(choice)) for i in range(n_votes)
+        (f"w{i}", draw(st.sampled_from(CHOICES[:4]))) for i in range(n_votes)
     ]
+
+
+def fill(script):
+    state = VoteState(task_id=0, k=len(script), choices=CHOICES[:4])
+    for worker, picked in script:
+        state.add(Answer(0, worker, picked))
+    return state
 
 
 class TestPluralityProperties:
     @given(script=vote_script())
     @settings(max_examples=150)
     def test_state_and_batch_agree(self, script):
-        state = MultiVoteState(task_id=0, k=len(script), choices=CHOICES)
-        flat = []
-        for worker, picked in script:
-            state.add(worker, picked)
-            flat.append((0, worker, picked))
-        assert plurality_vote(flat, CHOICES)[0] == state.consensus()
+        """The incremental state agrees with a batch plurality count
+        whose ties go to the earlier choice."""
+        tallies = Counter(picked for _, picked in script)
+        best = max(tallies.values())
+        batch = next(c for c in CHOICES[:4] if tallies[c] == best)
+        assert fill(script).consensus() == batch
 
     @given(script=vote_script())
     @settings(max_examples=150)
     def test_consensus_has_max_tally(self, script):
-        state = MultiVoteState(task_id=0, k=len(script), choices=CHOICES)
-        for worker, picked in script:
-            state.add(worker, picked)
-        tallies = state.tallies()
+        state = fill(script)
+        tallies = Counter(answer.label for answer in state.answers)
         assert tallies[state.consensus()] == max(tallies.values())
