@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from repro.core.observed import consensus_observed_accuracy
-from repro.core.types import Answer, VoteState
+from repro.core.types import Answer, Label, VoteState
+from tests.core.eq5_oracle import binary_observed_accuracy
 
 CHOICES = ("red", "green", "blue")
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
@@ -54,6 +55,37 @@ class TestPluralityVote:
 
 
 class TestMultichoiceObservedAccuracy:
+    def test_reduces_to_binary_eq5(self):
+        """At m=2 the generalisation must equal the paper's Eq. (5)."""
+        votes_binary = [
+            (Label.YES, 0.8),
+            (Label.NO, 0.6),
+            (Label.YES, 0.7),
+        ]
+        expected = binary_observed_accuracy(
+            Label.YES, Label.YES, votes_binary
+        )
+        votes_multi = [("yes", 0.8), ("no", 0.6), ("yes", 0.7)]
+        value = consensus_observed_accuracy(
+            "yes", "yes", votes_multi, num_choices=2
+        )
+        assert value == expected
+
+    def test_binary_disagree_case(self):
+        votes_binary = [
+            (Label.NO, 0.8),
+            (Label.YES, 0.6),
+            (Label.YES, 0.7),
+        ]
+        expected = binary_observed_accuracy(
+            Label.NO, Label.YES, votes_binary
+        )
+        votes_multi = [("no", 0.8), ("yes", 0.6), ("yes", 0.7)]
+        value = consensus_observed_accuracy(
+            "no", "yes", votes_multi, num_choices=2
+        )
+        assert value == expected
+
     def test_unanimous_reliable_workers_near_one(self):
         votes = [("red", 0.9)] * 3
         value = consensus_observed_accuracy(
