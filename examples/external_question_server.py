@@ -8,25 +8,11 @@ role of AMT: simulated workers poll ``GET /request`` for microtasks and
 Run:  python examples/external_question_server.py
 """
 
-import http.client
-import json
-
 from repro.core import ICrowd, ICrowdConfig
 from repro.core.config import GraphConfig
 from repro.datasets import make_itemcompare
-from repro.platform import ICrowdHTTPServer
+from repro.platform import ICrowdClient, ICrowdHTTPServer
 from repro.workers import WorkerPool, generate_profiles
-
-
-def http_call(address, method, path, payload=None):
-    """One HTTP round-trip to the iCrowd server."""
-    conn = http.client.HTTPConnection(*address, timeout=10)
-    body = json.dumps(payload) if payload is not None else None
-    conn.request(method, path, body=body)
-    response = conn.getresponse()
-    raw = response.read()
-    conn.close()
-    return response.status, (json.loads(raw) if raw else None)
 
 
 def main() -> None:
@@ -38,7 +24,9 @@ def main() -> None:
     )
     icrowd = ICrowd(tasks, config)
 
-    with ICrowdHTTPServer(tasks, icrowd) as server:
+    with ICrowdHTTPServer(tasks, icrowd) as server, ICrowdClient(
+        server.address, timeout=10
+    ) as client:
         address = server.address
         print(f"iCrowd server listening on http://{address[0]}:{address[1]}")
         steps = 0
@@ -48,29 +36,17 @@ def main() -> None:
             worker_id = pool.sample_requester()
             if worker_id is None:
                 continue
-            status, body = http_call(
-                address, "GET", f"/request?worker={worker_id}"
-            )
-            if status != 200:
+            task = client.request_task(worker_id)
+            if task is None:
                 continue
             # the worker answers what the iframe showed her
-            label = pool.worker(worker_id).answer(tasks[body["task_id"]])
-            http_call(
-                address,
-                "POST",
-                "/submit",
-                {
-                    "worker": worker_id,
-                    "task_id": body["task_id"],
-                    "label": int(label),
-                    "is_test": body["is_test"],
-                },
-            )
+            label = pool.worker(worker_id).answer(tasks[task["task_id"]])
+            client.submit(worker_id, task["task_id"], label, task["is_test"])
             pool.note_submission(worker_id)
-            _, progress = http_call(address, "GET", "/status")
+            progress = client.status()
             if progress["finished"]:
                 break
-        _, progress = http_call(address, "GET", "/status")
+        progress = client.status()
         print(
             f"finished={progress['finished']} after {steps} requests; "
             f"{progress['completed_tasks']}/{progress['total_tasks']} "

@@ -7,9 +7,12 @@ from maximum coverage); Algorithm 4 greedily adds the task with the
 largest marginal influence and attains the classic ``1 − 1/e``
 guarantee.  Because influence counts *non-zero* coordinates, the greedy
 marginal is exactly the number of newly covered basis-support
-coordinates, so we implement it as lazy-greedy max-coverage over support
-sets (CELF), which is equivalent and much faster than re-evaluating
-``INF`` from scratch each round.
+coordinates.  :func:`select_qualification_tasks` computes it directly:
+it holds one dense basis row per candidate and, at each of the Q picks,
+re-scores every remaining candidate against the coverage so far, which
+is O(Q·|T|²) time and |T|² floats of memory.  Lazy greedy (CELF) could
+skip most re-scorings, since the objective is submodular; it is not
+implemented.
 
 **Warm-up** (Section 2.2): new workers answer the qualification tasks
 first; their average qualification accuracy seeds the estimator, and

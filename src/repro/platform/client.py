@@ -12,6 +12,16 @@ at-least-once delivery discipline the hardened server is built for:
   only its response was lost; the server's idempotent answer handling
   makes that a success (``SubmitResult.ok``), not an error.
 
+Each calling thread keeps one persistent HTTP/1.1 connection open
+across calls (a ``threading.local``), so a worker's request/submit
+loop pays for the TCP connect once.  A reused connection may have been
+closed by the server in the meantime (idle timeout, restart): when a
+call on one fails with :class:`ConnectionError`, the request is sent
+once more, at once, on a fresh connection, and that resend does not
+count as an attempt.  Timeouts, and any failure on a fresh connection,
+go through the bounded retry above.  Resending a ``POST /submit`` is as
+safe as a retry: a repeat gets 409, which ``SubmitResult.ok`` accepts.
+
 With a live recorder attached, every endpoint call runs inside a
 ``client.<endpoint>`` span and stamps each HTTP attempt with a W3C
 ``traceparent`` header carrying that span's identity — retries reuse
@@ -25,6 +35,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 from dataclasses import dataclass
 
@@ -72,6 +83,10 @@ class SubmitResult:
 class ICrowdClient:
     """Thin bounded-retry wrapper over the server's three endpoints.
 
+    One client may be shared by several threads; each gets its own
+    connection.  :meth:`close` (or leaving a ``with`` block) closes
+    them all; a later call reconnects.
+
     Parameters
     ----------
     address:
@@ -81,7 +96,7 @@ class ICrowdClient:
     backoff:
         Initial sleep between attempts, doubled each retry.
     timeout:
-        Per-connection socket timeout in seconds.
+        Socket timeout of each connect, send and receive, in seconds.
     recorder:
         Metrics/tracing sink; a live registry wraps every endpoint
         call in a ``client.<endpoint>`` span and propagates its
@@ -105,6 +120,51 @@ class ICrowdClient:
         self.backoff = backoff
         self.timeout = timeout
         self.recorder = recorder
+        self._local = threading.local()
+        #: each thread's connection, for :meth:`close`
+        self._connections: dict[
+            threading.Thread, http.client.HTTPConnection
+        ] = {}
+        self._connections_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the connection of every thread that used the client.
+
+        Call it once no call is in flight; a later call opens a new
+        connection.
+        """
+        with self._connections_lock:
+            connections = list(self._connections.values())
+        for conn in connections:
+            conn.close()
+
+    def __enter__(self) -> ICrowdClient:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection (it connects on first use).
+
+        A thread's first call also closes the connections of threads
+        that have ended since, so they do not pile up.
+        """
+        conn: http.client.HTTPConnection | None = getattr(
+            self._local, "conn", None
+        )
+        if conn is None:
+            conn = http.client.HTTPConnection(
+                *self.address, timeout=self.timeout
+            )
+            self._local.conn = conn
+            with self._connections_lock:
+                ended = [t for t in self._connections if not t.is_alive()]
+                stale = [self._connections.pop(t) for t in ended]
+                self._connections[threading.current_thread()] = conn
+            for old in stale:
+                old.close()
+        return conn
 
     # ------------------------------------------------------------------
     def _call(
@@ -147,16 +207,7 @@ class ICrowdClient:
         last_error: Exception | None = None
         for attempt in range(1, self.max_retries + 2):
             try:
-                conn = http.client.HTTPConnection(
-                    *self.address, timeout=self.timeout
-                )
-                try:
-                    conn.request(method, path, body=body, headers=headers)
-                    response = conn.getresponse()
-                    raw = response.read()
-                    status = response.status
-                finally:
-                    conn.close()
+                status, raw = self._exchange(method, path, body, headers)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 if attempt <= self.max_retries:
@@ -180,6 +231,27 @@ class ICrowdClient:
             f"attempts: {last_error}"
         )
 
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        body: str | None,
+        headers: dict[str, str],
+    ) -> tuple[int, bytes]:
+        """One delivery attempt on the calling thread's connection.
+
+        When a reused connection turns out to be closed, the request
+        is sent again on a fresh one within the same attempt.
+        """
+        conn = self._connection()
+        reused = conn.sock is not None
+        try:
+            return _round_trip(conn, method, path, body, headers)
+        except ConnectionError:
+            if not reused:
+                raise
+        return _round_trip(conn, method, path, body, headers)
+
     # ------------------------------------------------------------------
     def request_task(self, worker_id: WorkerId) -> dict | None:
         """Ask for the next microtask; None when nothing is assignable."""
@@ -198,17 +270,21 @@ class ICrowdClient:
         self,
         worker_id: WorkerId,
         task_id: TaskId,
-        label: Label | int,
+        label: Label | int | str,
         is_test: bool = False,
     ) -> SubmitResult:
-        """Submit one answer; retried deliveries dedupe server-side."""
+        """Submit one answer; retried deliveries dedupe server-side.
+
+        A binary label goes out as its int; any other label (an
+        m-choice job's choice) goes out unchanged.
+        """
         status, data, attempts = self._call(
             "POST",
             "/submit",
             {
                 "worker": worker_id,
                 "task_id": int(task_id),
-                "label": int(label),
+                "label": int(label) if isinstance(label, int) else label,
                 "is_test": is_test,
             },
         )
@@ -220,3 +296,21 @@ class ICrowdClient:
         if status != 200 or data is None:
             raise RuntimeError(f"/status returned {status}: {data}")
         return data
+
+
+def _round_trip(
+    conn: http.client.HTTPConnection,
+    method: str,
+    path: str,
+    body: str | None,
+    headers: dict[str, str],
+) -> tuple[int, bytes]:
+    """Send one request and read its whole reply; on any failure the
+    connection is closed, so the next request starts on a fresh one."""
+    try:
+        conn.request(method, path, body=body, headers=headers)
+        response = conn.getresponse()
+        return response.status, response.read()
+    except BaseException:
+        conn.close()
+        raise

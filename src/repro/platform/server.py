@@ -35,6 +35,14 @@ deliberately single-threaded state machines) and binds to an ephemeral
 localhost port by default.  :class:`repro.platform.client.ICrowdClient`
 is the matching bounded-retry client.
 
+Connections are HTTP/1.1 and persistent: one handler thread serves
+every request of its connection until the client closes it, the
+connection sits idle for :data:`IDLE_TIMEOUT_S`, or :meth:`stop`
+closes it.  Every reply but 204 carries ``Content-Length`` and every
+request body is read before the reply, so the next request on the
+connection parses cleanly; a body that cannot be framed (bad
+``Content-Length``, chunked) gets a 400 and the connection is closed.
+
 Two observability surfaces make served rounds reconstructable after
 the fact:
 
@@ -57,9 +65,11 @@ from __future__ import annotations
 
 import json
 import logging
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any
 from urllib.parse import parse_qs, urlparse
 
 from repro.core.types import AnswerOutcome, Label, TaskSet, WorkerId
@@ -75,6 +85,13 @@ from repro.platform.leases import SettleResult
 from repro.platform.session import PolicyProtocol, Session
 
 _LOGGER = get_logger("platform.server")
+
+#: Seconds a persistent connection may wait for its next request
+#: before the server closes it (and its handler thread ends).
+IDLE_TIMEOUT_S = 30.0
+#: Seconds :meth:`ICrowdHTTPServer.stop` waits, in all, for the
+#: handler threads of the connections it closed.
+STOP_JOIN_S = 5.0
 
 #: Submits turned away by the lease ledger or the policy: verdict →
 #: (HTTP status, rejection counter reason, error message template).
@@ -100,6 +117,60 @@ _REJECTIONS: dict[SettleResult | AnswerOutcome, tuple[int, str, str]] = {
         "worker {worker!r} already answered task {task}",
     ),
 }
+
+
+class _ConnectionServer(ThreadingHTTPServer):
+    """A threading HTTP server that can close its open connections.
+
+    Each accepted socket and its handler thread are registered by the
+    serving thread before the handler starts, and dropped when the
+    handler returns; so once ``shutdown()`` has returned, every
+    connection still open is in ``connections``.
+    """
+
+    def __init__(
+        self,
+        address: tuple[str, int],
+        handler: type[BaseHTTPRequestHandler],
+    ) -> None:
+        self._connections_lock = threading.Lock()
+        self.connections: dict[socket.socket, threading.Thread] = {}
+        super().__init__(address, handler)
+
+    # ``Any`` matches the stdlib signatures these methods override.
+    def process_request(self, request: Any, client_address: Any) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            daemon=True,
+        )
+        with self._connections_lock:
+            self.connections[request] = thread
+        thread.start()
+
+    def process_request_thread(
+        self, request: Any, client_address: Any
+    ) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            with self._connections_lock:
+                del self.connections[request]
+
+    def close_connections(self, timeout: float) -> None:
+        """Shut every open connection down and join its handler thread,
+        waiting at most ``timeout`` seconds in all."""
+        with self._connections_lock:
+            open_now = list(self.connections.items())
+        for sock, _ in open_now:
+            try:
+                # wakes a handler blocked reading its next request
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # its handler closed it meanwhile
+        deadline = time.perf_counter() + timeout
+        for _, thread in open_now:
+            thread.join(max(0.0, deadline - time.perf_counter()))
 
 
 class ICrowdHTTPServer:
@@ -150,12 +221,15 @@ class ICrowdHTTPServer:
         #: Flight data: every served interaction as a typed event, at
         #: interaction-tick granularity.
         self.events = self.session.events
+        #: the answer alphabet by wire value: a JSON label equal to a
+        #: choice (an int for binary ``Label`` choices) names it
+        self._choices: dict[object, Label] = {
+            choice: choice for choice in tasks.choices
+        }
         self._tick = 0
         self._known_workers: set[WorkerId] = set()
         self._lock = threading.Lock()
-        self._httpd = ThreadingHTTPServer(
-            (host, port), self._make_handler()
-        )
+        self._httpd = _ConnectionServer((host, port), self._make_handler())
         self._thread: threading.Thread | None = None
 
     # ------------------------------------------------------------------
@@ -174,9 +248,16 @@ class ICrowdHTTPServer:
         self._thread.start()
 
     def stop(self) -> None:
-        """Shut the server down and join the serving thread."""
+        """Stop serving and join the serving thread.
+
+        Closes the listening socket and every open connection, then
+        joins the connections' handler threads (up to
+        :data:`STOP_JOIN_S` in all), so nothing is served after this
+        returns.
+        """
         self._httpd.shutdown()
         self._httpd.server_close()
+        self._httpd.close_connections(STOP_JOIN_S)
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
@@ -223,7 +304,7 @@ class ICrowdHTTPServer:
         try:
             worker_id = str(payload["worker"])
             task_id = int(payload["task_id"])
-            label = Label(int(payload["label"]))
+            label = self._parse_label(payload["label"])
             is_test = bool(payload.get("is_test", False))
         except (KeyError, ValueError, TypeError) as exc:
             return 400, {"error": f"bad submit payload: {exc}"}
@@ -249,6 +330,20 @@ class ICrowdHTTPServer:
             "outcome": verdict.value,
             "task_completed": completed,
         }
+
+    def _parse_label(self, value: object) -> Label:
+        """The task set's choice a submitted JSON label names.
+
+        Checked before the session sees the answer: the session settles
+        the lease first, so a label the policy then refused would lose
+        the slot.
+        """
+        try:
+            return self._choices[value]
+        except (KeyError, TypeError):
+            raise ValueError(
+                f"label {value!r} is not one of the job's choices"
+            ) from None
 
     def _count_rejection(self, reason: str) -> None:
         """Count a rejected submit (the HTTP-visible fault surface)."""
@@ -284,6 +379,38 @@ class ICrowdHTTPServer:
 
         class Handler(BaseHTTPRequestHandler):
             """Routes /request, /submit, /status and /metrics."""
+
+            protocol_version = "HTTP/1.1"
+            # The headers and the body of a reply are two writes: with
+            # Nagle on, the body waits for the client's delayed ACK.
+            disable_nagle_algorithm = True
+            timeout = IDLE_TIMEOUT_S
+            #: the current request's body, read in full by parse_request
+            body = b""
+
+            def setup(self) -> None:
+                super().setup()
+                server.recorder.counter(
+                    "repro_http_connections_total",
+                    "HTTP connections accepted.",
+                ).inc()
+
+            def parse_request(self) -> bool:
+                # Read the whole body before routing, so that every
+                # reply leaves the connection at the first byte of the
+                # next request.  A body without a usable length cannot
+                # be skipped: a 400 then closes the connection.
+                if not super().parse_request():
+                    return False
+                try:
+                    length = int(self.headers.get("Content-Length", "0"))
+                except ValueError:
+                    length = -1
+                if length < 0 or "Transfer-Encoding" in self.headers:
+                    self.send_error(400, "request body needs a Content-Length")
+                    return False
+                self.body = self.rfile.read(length)
+                return True
 
             def log_message(self, format: str, *args: object) -> None:
                 # Stdlib access lines go to the structured "repro"
@@ -328,6 +455,7 @@ class ICrowdHTTPServer:
                 self.send_response(status)
                 if data:
                     self.send_header("Content-Type", content_type)
+                if status != 204:
                     self.send_header("Content-Length", str(len(data)))
                 self.end_headers()
                 if data:
@@ -389,10 +517,8 @@ class ICrowdHTTPServer:
                     self._reply(404, {"error": "not found"})
                     self._observe("(unknown)", 404, started)
                     return
-                length = int(self.headers.get("Content-Length", "0"))
-                raw = self.rfile.read(length) if length else b"{}"
                 try:
-                    payload = json.loads(raw)
+                    payload = json.loads(self.body or b"{}")
                 except json.JSONDecodeError:
                     self._reply(400, {"error": "invalid JSON"})
                     self._observe("/submit", 400, started)

@@ -5,51 +5,27 @@ mid-job, a new process restores the checkpoint, and workers keep
 going — nobody re-answers, nothing is lost, the job finishes.
 """
 
-import http.client
-import json
-
 from repro.core import ICrowd, ICrowdConfig
 from repro.core.config import GraphConfig, QualificationConfig
 from repro.core.persistence import load_checkpoint, save_checkpoint
 from repro.datasets import make_itemcompare
+from repro.platform import ICrowdClient
 from repro.platform.server import ICrowdHTTPServer
 from repro.workers import WorkerPool, generate_profiles
 
 
-def call(address, method, path, payload=None):
-    conn = http.client.HTTPConnection(*address, timeout=5)
-    body = json.dumps(payload) if payload is not None else None
-    conn.request(method, path, body=body)
-    response = conn.getresponse()
-    raw = response.read()
-    conn.close()
-    return response.status, (json.loads(raw) if raw else None)
-
-
-def drive(server, pool, tasks, max_steps):
+def drive(client, pool, tasks, max_steps):
     """Run the worker loop against a server for up to max_steps."""
     for _ in range(max_steps):
         pool.tick()
         worker = pool.sample_requester()
         if worker is None:
             continue
-        status, body = call(
-            server.address, "GET", f"/request?worker={worker}"
-        )
-        if status != 200:
+        task = client.request_task(worker)
+        if task is None:
             continue
-        label = pool.worker(worker).answer(tasks[body["task_id"]])
-        call(
-            server.address,
-            "POST",
-            "/submit",
-            {
-                "worker": worker,
-                "task_id": body["task_id"],
-                "label": int(label),
-                "is_test": body["is_test"],
-            },
-        )
+        label = pool.worker(worker).answer(tasks[task["task_id"]])
+        client.submit(worker, task["task_id"], label, task["is_test"])
         pool.note_submission(worker)
 
 
@@ -68,8 +44,10 @@ def test_restart_served_job_from_checkpoint(tmp_path):
     )
 
     # phase 1: serve part of the job, then "crash"
-    with ICrowdHTTPServer(tasks, icrowd) as server:
-        drive(server, pool, tasks, max_steps=60)
+    with ICrowdHTTPServer(tasks, icrowd) as server, ICrowdClient(
+        server.address
+    ) as client:
+        drive(client, pool, tasks, max_steps=60)
         checkpoint_path = tmp_path / "job.json"
         save_checkpoint(icrowd, checkpoint_path)
         progress_before = len(icrowd.completed_tasks())
@@ -79,9 +57,11 @@ def test_restart_served_job_from_checkpoint(tmp_path):
         tasks, config, checkpoint_path, graph=icrowd.graph
     )
     assert len(restored.completed_tasks()) == progress_before
-    with ICrowdHTTPServer(tasks, restored) as server:
-        drive(server, pool, tasks, max_steps=3000)
-        status, body = call(server.address, "GET", "/status")
+    with ICrowdHTTPServer(tasks, restored) as server, ICrowdClient(
+        server.address
+    ) as client:
+        drive(client, pool, tasks, max_steps=3000)
+        body = client.status()
     assert body["finished"] is True
 
     # quality sanity: the finished job predicts most tasks correctly

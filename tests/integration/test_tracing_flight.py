@@ -76,6 +76,7 @@ class TestHTTPTracePropagation:
                     task = client.request_task(worker)
                     if task is not None:
                         client.submit(worker, task["task_id"], 1)
+            client.close()
             events = server.events
         server_registry.close()
         client_registry.close()

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 
 import pytest
 
@@ -382,6 +383,148 @@ class TestMetricsEndpoint:
             response.read()
             conn.close()
             assert response.status == 503
+
+
+def exchange(conn, method, path, payload=None):
+    """One request on an open connection; a reply other than 204 must
+    say its length, or the next reply could not be told apart."""
+    body = json.dumps(payload) if payload is not None else None
+    conn.request(method, path, body=body)
+    response = conn.getresponse()
+    raw = response.read()
+    if response.status != 204:
+        assert response.getheader("Content-Length") == str(len(raw))
+    return response.status, raw
+
+
+class TestPersistentConnections:
+    def test_error_replies_are_framed_and_keep_the_connection(self, tasks):
+        policy = RandomMV(tasks, k=1, seed=0)
+        with ICrowdHTTPServer(tasks, policy, lease_timeout=2) as srv:
+            conn = http.client.HTTPConnection(*srv.address, timeout=5)
+            assert exchange(conn, "GET", "/request")[0] == 400
+            assert exchange(conn, "GET", "/nope")[0] == 404
+            # an unknown POST's body is read, not parsed as a request
+            ghost = {"worker": "w1", "task_id": 0, "label": 1}
+            assert exchange(conn, "POST", "/nope", ghost)[0] == 404
+            status, raw = exchange(conn, "GET", "/request?worker=w1")
+            task_id = json.loads(raw)["task_id"]
+            answer = {"worker": "w1", "task_id": task_id, "label": 1}
+            assert exchange(conn, "POST", "/submit", answer)[0] == 200
+            assert exchange(conn, "POST", "/submit", answer)[0] == 409
+            status, raw = exchange(conn, "GET", "/request?worker=w1")
+            late = {"worker": "w1", "task_id": json.loads(raw)["task_id"],
+                    "label": 1}
+            for worker in ("w2", "w3", "w4"):
+                exchange(conn, "GET", f"/request?worker={worker}")
+            assert exchange(conn, "POST", "/submit", late)[0] == 410
+            status, raw = exchange(conn, "GET", "/metrics")
+            conn.close()
+        assert status == 200
+        assert "repro_http_connections_total 1" in raw.decode("utf-8")
+
+    def test_null_recorder_503_is_framed(self, tasks):
+        from repro.obs.metrics import NULL_RECORDER
+
+        policy = RandomMV(tasks, k=2, seed=0)
+        with ICrowdHTTPServer(tasks, policy, recorder=NULL_RECORDER) as srv:
+            conn = http.client.HTTPConnection(*srv.address, timeout=5)
+            status, raw = exchange(conn, "GET", "/metrics")
+            assert (status, raw) == (503, b"")
+            sock = conn.sock
+            assert exchange(conn, "GET", "/status")[0] == 200
+            assert conn.sock is sock
+            conn.close()
+
+    def test_unframed_body_is_400_and_closes(self, server):
+        conn = http.client.HTTPConnection(*server.address, timeout=5)
+        conn.putrequest("POST", "/submit")
+        conn.putheader("Content-Length", "-1")
+        conn.endheaders()
+        response = conn.getresponse()
+        response.read()
+        assert response.status == 400
+        assert response.getheader("Connection") == "close"
+        conn.close()
+
+    def test_accepted_sockets_run_without_nagle(self, server):
+        conn = http.client.HTTPConnection(*server.address, timeout=5)
+        assert exchange(conn, "GET", "/status")[0] == 200
+        (accepted,) = server._httpd.connections
+        assert accepted.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        conn.close()
+
+
+class TestMultiChoiceJob:
+    """An m-choice ICrowd behind the server: labels are its choices."""
+
+    CHOICES = ("cat", "dog", "bird")
+
+    def make_job(self):
+        from repro.core import ICrowd, ICrowdConfig
+        from repro.core.config import GraphConfig, QualificationConfig
+
+        tasks = TaskSet(
+            [
+                Task(i, f"{'farm barn' if i < 6 else 'city flat'} photo {i}",
+                     "farm" if i < 6 else "city", self.CHOICES[i % 3])
+                for i in range(12)
+            ],
+            self.CHOICES,
+        )
+        config = ICrowdConfig(
+            qualification=QualificationConfig(
+                num_qualification=2, qualification_threshold=0.5
+            ),
+            graph=GraphConfig(measure="jaccard", threshold=0.3),
+        )
+        return tasks, ICrowd(tasks, config)
+
+    def test_label_outside_the_choices_is_400_and_keeps_the_lease(self):
+        tasks, icrowd = self.make_job()
+        with ICrowdHTTPServer(tasks, icrowd) as srv:
+            status, body = call(srv, "GET", "/request?worker=w1")
+            assert status == 200
+            answer = {"worker": "w1", "task_id": body["task_id"],
+                      "is_test": body["is_test"]}
+            for label in (0, 1, "horse", None, ["cat"]):
+                status, reply = call(
+                    srv, "POST", "/submit", {**answer, "label": label}
+                )
+                assert status == 400
+                assert "choices" in reply["error"]
+            assert list(srv.leases.outstanding()) == [
+                ("w1", body["task_id"])
+            ]
+            truth = tasks[body["task_id"]].truth
+            status, reply = call(
+                srv, "POST", "/submit", {**answer, "label": truth}
+            )
+        assert status == 200
+        assert reply["accepted"] is True
+
+    def test_job_runs_to_completion_through_the_client(self):
+        from repro.platform import ICrowdClient
+
+        tasks, icrowd = self.make_job()
+        workers = [f"w{i}" for i in range(5)]
+        with ICrowdHTTPServer(tasks, icrowd) as srv, ICrowdClient(
+            srv.address
+        ) as client:
+            for step in range(500):
+                worker = workers[step % len(workers)]
+                task = client.request_task(worker)
+                if task is None:
+                    continue
+                truth = tasks[task["task_id"]].truth
+                result = client.submit(
+                    worker, task["task_id"], truth, task["is_test"]
+                )
+                assert result.accepted
+                if client.status()["finished"]:
+                    break
+            assert client.status()["finished"] is True
+        assert icrowd.predictions() == {t.task_id: t.truth for t in tasks}
 
 
 class TestScriptedSession:
