@@ -3,12 +3,15 @@
 Two design choices behind Algorithm 1's offline phase:
 
 1. **Solver**: the batched dense iteration computes all basis rows at
-   once and is much faster *when its O(n²) dense iterate fits* — which
-   is why ``method="auto"`` uses it up to ``AUTO_BATCH_LIMIT``.  The
-   localized forward push (vectorised ``PushKernel``) has a per-row
-   cost that depends only on the neighbourhood pushed into, not on
-   |T| — it is the only feasible solver beyond the dense limit
-   (a 200k-task basis as a dense iterate would need ~320 GB).
+   once and is much faster *when its dense iterate fits*.  It iterates
+   blocks of whole connected components, so its iterate is O(m²) for
+   the largest block of m tasks, and ``method="auto"`` uses it while
+   no block exceeds ``AUTO_BATCH_LIMIT`` tasks.  The graphs here are
+   connected, so each is one block of n tasks.  The localized forward
+   push (vectorised ``PushKernel``) has a per-row cost that depends
+   only on the neighbourhood pushed into, not on |T| — it is the only
+   feasible solver for a component beyond the dense limit (a
+   200k-task component as a dense iterate would need ~320 GB).
 2. **Truncation ε**: larger ε stores fewer basis entries (memory) at
    the cost of estimation error; the error must grow and the memory
    shrink monotonically with ε.

@@ -197,11 +197,48 @@ class SimilarityGraph:
         return float(self._matrix[i, j])
 
     def connected_components(self) -> list[set[TaskId]]:
-        """Connected components (useful for diagnostics and tests)."""
-        n_components, labels = sparse.csgraph.connected_components(
-            self._matrix, directed=False
-        )
-        components: list[set[TaskId]] = [set() for _ in range(n_components)]
-        for task_id, label in enumerate(labels):
+        """Connected components, in order of their smallest task."""
+        labels = component_labels(self._matrix.indptr, self._matrix.indices)
+        roots, compact = np.unique(labels, return_inverse=True)
+        components: list[set[TaskId]] = [set() for _ in range(roots.size)]
+        for task_id, label in enumerate(compact.tolist()):
             components[label].add(task_id)
         return components
+
+
+def component_labels(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Connected-component label of every node of a CSR structure.
+
+    A node's label is the smallest node id in its component.  The
+    structure must be symmetric (every stored ``(i, j)`` also stored as
+    ``(j, i)``), as a similarity matrix and its normalisation are.
+
+    Each round sweeps the CSR rows once: a node takes the smallest
+    label among itself and its neighbours, and the node its label
+    pointed at takes that label too, so a whole tree moves at once.
+    Pointer jumping then points every node straight at its tree's root.
+    Rounds repeat until no label changes; a path of 5,000 nodes in
+    random order takes nine.
+    """
+    n = indptr.size - 1
+    linked = np.flatnonzero(np.diff(indptr))
+    starts = indptr[linked]
+    neighbours = indices[: indptr[-1]]
+    labels = np.arange(n)
+    while True:
+        swept = labels.copy()
+        if linked.size:
+            swept[linked] = np.minimum(
+                labels[linked],
+                np.minimum.reduceat(labels[neighbours], starts),
+            )
+        hooked = swept.copy()
+        np.minimum.at(hooked, labels, swept)
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, labels):
+            return labels
+        labels = hooked

@@ -51,6 +51,7 @@ from typing import cast
 import numpy as np
 from scipy import sparse
 
+from repro.core.graph import component_labels
 from repro.obs.metrics import MASS_BUCKETS, NULL_RECORDER, Recorder
 
 
@@ -806,6 +807,52 @@ def _resolve_workers(num_workers: int | None) -> int:
     return num_workers
 
 
+def component_blocks(
+    matrix: sparse.csr_matrix, min_block: int
+) -> list[np.ndarray]:
+    """Sorted task ids of each block of the batch iteration.
+
+    A graph of at most ``min_block`` tasks is one block and is not
+    labelled.  Otherwise whole connected components, in order of their
+    smallest task, fill a block until the next one would take it past
+    ``min_block`` tasks; a larger component is a block of its own.
+    """
+    n = matrix.shape[0]
+    if n <= min_block:
+        return [np.arange(n)]
+    labels = component_labels(matrix.indptr, matrix.indices)
+    # a label is its component's smallest task, so a stable sort lists
+    # the components in that order, each in ascending task order
+    grouped = np.argsort(labels, kind="stable")
+    sizes = np.unique(labels, return_counts=True)[1]
+    cuts: list[int] = []
+    filled = 0
+    end = 0
+    for size in sizes.tolist():
+        if filled and filled + size > min_block:
+            cuts.append(end)
+            filled = 0
+        filled += size
+        end += size
+    return [np.sort(block) for block in np.split(grouped, cuts)]
+
+
+def _block_submatrix(
+    matrix: sparse.csr_matrix, members: np.ndarray, local: np.ndarray
+) -> sparse.csr_matrix:
+    """Rows and columns ``members`` of ``matrix``, whose rows reach no
+    other column; ``local`` maps a task to its place in ``members``.
+    Each row keeps its entries in stored order, so a product with the
+    block adds the same terms in the same order as with ``matrix``."""
+    positions, counts = csr_row_positions(matrix.indptr, members)
+    indptr = np.zeros(members.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return sparse.csr_matrix(
+        (matrix.data[positions], local[matrix.indices[positions]], indptr),
+        shape=(members.size, members.size),
+    )
+
+
 class PPRBasis:
     """Offline per-task PPR basis enabling O(|T|) online estimation.
 
@@ -825,10 +872,15 @@ class PPRBasis:
             raise ValueError("basis must be square (one row per task)")
         self._matrix = matrix.tocsr()
 
-    #: Graphs up to this many nodes use the batched dense iteration
-    #: under ``method="auto"``; larger graphs use localized push
-    #: (split over a process pool when more than one worker resolves).
+    #: ``method="auto"`` runs the batched dense iteration when no block
+    #: of it is larger than this; otherwise localized push (split over
+    #: a process pool when more than one worker resolves).
     AUTO_BATCH_LIMIT = 4096
+
+    #: Graphs up to this many tasks run the batch iteration as one
+    #: block, without component labelling; larger graphs pack whole
+    #: components into blocks of up to this many tasks.
+    MIN_BLOCK = 128
 
     @classmethod
     def compute(
@@ -854,12 +906,15 @@ class PPRBasis:
         epsilon:
             Truncation threshold for stored entries (0 keeps all).
         method:
-            ``"auto"`` (default) picks ``"batch"`` for graphs up to
-            :data:`AUTO_BATCH_LIMIT` nodes and ``"push"`` /
-            ``"parallel-push"`` beyond (parallel when more than one
-            worker resolves); ``"batch"`` iterates Eq. (4) on all unit
-            restarts at once (one dense n×n iteration); ``"push"`` runs
-            the vectorised localized solver per row;
+            ``"batch"`` iterates Eq. (4) on all unit restarts at once,
+            as dense iterates over blocks of whole connected components
+            (see :func:`component_blocks` and :data:`MIN_BLOCK`); its
+            output is the single n×n iteration's, bit for bit.
+            ``"auto"`` (default) picks ``"batch"`` when no block is
+            larger than :data:`AUTO_BATCH_LIMIT` tasks, whatever |T|
+            is, and ``"push"`` / ``"parallel-push"`` otherwise
+            (parallel when more than one worker resolves).  ``"push"``
+            runs the vectorised localized solver per row;
             ``"parallel-push"`` splits the push rows over a process
             pool (identical output to ``"push"``).
         num_workers:
@@ -877,72 +932,114 @@ class PPRBasis:
             counter covers them in aggregate).
         """
         n = normalized.shape[0]
+        matrix = normalized.tocsr()
+        blocks: list[np.ndarray] = []
+        if method in ("auto", "batch"):
+            blocks = component_blocks(matrix, cls.MIN_BLOCK)
         if method == "auto":
-            if n <= cls.AUTO_BATCH_LIMIT:
+            if max(block.size for block in blocks) <= cls.AUTO_BATCH_LIMIT:
                 method = "batch"
             elif _resolve_workers(num_workers) > 1:
                 method = "parallel-push"
             else:
                 method = "push"
         with recorder.span("ppr.basis", method=method, rows=n):
-            basis = cls._compute_with_method(
-                normalized,
-                damping,
-                epsilon,
-                method,
-                tol,
-                max_iter,
-                num_workers,
-                force_parallel,
-                recorder,
-            )
+            if method == "batch":
+                basis = cls(
+                    cls._compute_batch(
+                        matrix, damping, epsilon, tol, max_iter, blocks
+                    )
+                )
+            elif method in ("push", "parallel-push"):
+                basis = cls(
+                    cls._compute_push(
+                        matrix,
+                        damping,
+                        epsilon,
+                        1 if method == "push" else num_workers,
+                        force_parallel,
+                        recorder,
+                    )
+                )
+            else:
+                raise ValueError(f"unknown basis method {method!r}")
         recorder.counter(
             "repro_ppr_basis_rows_total",
             "Offline PPR basis rows computed (one per task).",
         ).inc(n)
         return basis
 
-    @classmethod
-    def _compute_with_method(
-        cls,
-        normalized: sparse.csr_matrix,
+    @staticmethod
+    def _compute_batch(
+        matrix: sparse.csr_matrix,
         damping: float,
         epsilon: float,
-        method: str,
         tol: float,
         max_iter: int,
-        num_workers: int | None,
-        force_parallel: bool,
-        recorder: Recorder,
-    ) -> "PPRBasis":
-        n = normalized.shape[0]
-        if method == "batch":
-            basis = np.eye(n)
-            restart = (1.0 - damping) * np.eye(n)
-            for _ in range(max_iter):
-                nxt = damping * (normalized @ basis) + restart
-                if np.max(np.abs(nxt - basis)) < tol:
-                    basis = nxt
-                    break
-                basis = nxt
+        blocks: list[np.ndarray],
+    ) -> sparse.csr_matrix:
+        """Iterate Eq. (4) on every unit restart at once, block by block.
+
+        Column ``i`` of a block's iterate is ``p_{t_i}``, which never
+        leaves ``t_i``'s component: each block is the dense iteration
+        on its own tasks, with the same floats as on the whole graph.
+        The blocks run in lock-step and stop together, once no entry of
+        any block moved by ``tol`` or more, as the one n×n iterate
+        would.  The update runs in place: the restart ``(1 - c)·I``
+        only adds to the diagonal.
+        """
+        n = matrix.shape[0]
+        if len(blocks) == 1:
+            subs = [matrix]
+        else:
+            local = np.empty(n, dtype=np.int64)
+            for members in blocks:
+                local[members] = np.arange(members.size)
+            subs = [
+                _block_submatrix(matrix, members, local) for members in blocks
+            ]
+        iterates = [np.eye(members.size) for members in blocks]
+        lift = 1.0 - damping
+        for _ in range(max_iter):
+            change = 0.0
+            for k, sub in enumerate(subs):
+                basis = iterates[k]
+                nxt = sub @ basis
+                nxt *= damping
+                nxt.reshape(-1)[:: nxt.shape[0] + 1] += lift
+                # the old iterate is done with: reuse it for |nxt - basis|
+                np.subtract(nxt, basis, out=basis)
+                np.abs(basis, out=basis)
+                change = max(change, float(basis.max(initial=0.0)))
+                iterates[k] = nxt
+            if change < tol:
+                break
+        # rows of the basis are p_{t_i}; the iteration tracks columns
+        # (restart e_i per column), so each block is transposed
+        for basis in iterates:
             if epsilon > 0:
                 basis[np.abs(basis) < epsilon] = 0.0
-            # rows of the basis are p_{t_i}; the iteration above tracks
-            # columns (restart e_i per column), and S' is symmetric so
-            # the matrix is symmetric too — transpose for clarity.
-            return cls(sparse.csr_matrix(basis.T))
-        if method in ("push", "parallel-push"):
-            return cls(
-                cls._compute_push(
-                    normalized,
-                    damping,
-                    epsilon,
-                    1 if method == "push" else num_workers,
-                    force_parallel,
-                    recorder,
-                )
-            )
-        raise ValueError(f"unknown basis method {method!r}")
+        if len(blocks) == 1:
+            return sparse.csr_matrix(iterates[0].T)
+        total = sum(np.count_nonzero(basis) for basis in iterates)
+        counts = np.empty(n, dtype=np.int64)
+        cols = np.empty(total, dtype=np.int64)
+        vals = np.empty(total)
+        row = entry = 0
+        for members in blocks:
+            # each dense block is dropped once its rows are copied out
+            part = sparse.csr_matrix(iterates.pop(0).T)
+            counts[row : row + members.size] = np.diff(part.indptr)
+            cols[entry : entry + part.nnz] = members[part.indices]
+            vals[entry : entry + part.nnz] = part.data
+            row += members.size
+            entry += part.nnz
+        stacked = assemble_csr(counts, cols, vals, (n, n))
+        # row k of ``stacked`` is task ``order[k]``
+        order = np.concatenate(blocks)
+        if np.array_equal(order, np.arange(n)):
+            return stacked
+        return stacked[np.argsort(order)]
 
     @staticmethod
     def _compute_push(

@@ -7,12 +7,23 @@ from maximum coverage); Algorithm 4 greedily adds the task with the
 largest marginal influence and attains the classic ``1 − 1/e``
 guarantee.  Because influence counts *non-zero* coordinates, the greedy
 marginal is exactly the number of newly covered basis-support
-coordinates.  :func:`select_qualification_tasks` computes it directly:
-it holds one dense basis row per candidate and, at each of the Q picks,
-re-scores every remaining candidate against the coverage so far, which
-is O(Q·|T|²) time and |T|² floats of memory.  Lazy greedy (CELF) could
-skip most re-scorings, since the objective is submodular; it is not
-implemented.
+coordinates; ties go to the residual mass a candidate adds beyond the
+coverage so far, then to the lower task id.
+
+:func:`select_qualification_tasks` runs the greedy lazily (CELF).  A
+candidate's key only falls as coverage grows: the new support counts
+non-zeros outside a growing support, and the residual sums
+``max(row - covered, 0)`` over a growing ``covered`` in a fixed order,
+and rounded subtraction, ``max`` and a fixed-order float sum are all
+monotone.  So a key scored before the last pick is an upper bound of
+the current one, and a candidate whose key is current and tops every
+bound is the greedy pick.  First-round bounds come from the CSR rows
+without a dense row: the support count is exact, and the residual is
+the sparse row sum times ``1 + 4·|T|·eps``, which covers the rounding
+of any order of summing |T| non-negative terms.  A key is scored
+exactly, with the dense row, only when it reaches the top of the heap,
+so the picks are the eager greedy's picks, and a selection costs a few
+O(|T|) rows per pick instead of O(|T|²) per pick.
 
 **Warm-up** (Section 2.2): new workers answer the qualification tasks
 first; their average qualification accuracy seeds the estimator, and
@@ -21,6 +32,7 @@ workers below a threshold are rejected as unqualified.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 
@@ -76,29 +88,50 @@ def select_qualification_tasks(
     """
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
-    pool = list(candidates) if candidates is not None else list(
-        range(basis.num_tasks)
+    n = basis.num_tasks
+    pool = (
+        np.arange(n)
+        if candidates is None
+        else np.unique(np.asarray(candidates, dtype=np.int64))
     )
-    rows: dict[TaskId, np.ndarray] = {t: basis.row(t) for t in pool}
-    covered_mass = np.zeros(basis.num_tasks)
+    if pool.size and (pool[0] < 0 or pool[-1] >= n):
+        raise ValueError(f"candidate task ids must lie in [0, {n})")
+    # first-round bounds from the CSR rows, one sum per stored row
+    indptr = basis.matrix.indptr
+    values = basis.matrix.data[: indptr[-1]]
+    filled = np.flatnonzero(np.diff(indptr))
+    support = np.zeros(n, dtype=np.int64)
+    mass = np.zeros(n)
+    if filled.size:
+        starts = indptr[filled]
+        support[filled] = np.add.reduceat(values != 0, starts, dtype=np.int64)
+        mass[filled] = np.add.reduceat(np.maximum(values, 0.0), starts)
+    mass *= 1.0 + 4.0 * n * np.finfo(np.float64).eps
+    # min-heap of (-support, -residual, task id, pick it was scored
+    # for); -1 marks a first-round bound
+    heap = [
+        (-count, -bound, task_id, -1)
+        for count, bound, task_id in zip(
+            support[pool].tolist(), mass[pool].tolist(), pool.tolist()
+        )
+    ]
+    heapq.heapify(heap)
+    covered_mass = np.zeros(n)
+    uncovered = np.ones(n, dtype=bool)
     selected: list[TaskId] = []
-    remaining = set(pool)
-    while remaining and len(selected) < budget:
-        best_task: TaskId | None = None
-        best_key: tuple[int, float, int] | None = None
-        covered_support = covered_mass > 0
-        for task_id in remaining:
-            row = rows[task_id]
-            new_support = int(np.count_nonzero((row != 0) & ~covered_support))
-            residual = float(np.maximum(row - covered_mass, 0.0).sum())
-            key = (new_support, residual, -task_id)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_task = task_id
-        assert best_task is not None
-        selected.append(best_task)
-        remaining.discard(best_task)
-        covered_mass = np.maximum(covered_mass, rows[best_task])
+    while heap and len(selected) < budget:
+        _, _, task_id, scored_for = heapq.heappop(heap)
+        row = basis.row(task_id)
+        if scored_for == len(selected):
+            selected.append(task_id)
+            covered_mass = np.maximum(covered_mass, row)
+            uncovered = ~(covered_mass > 0)
+            continue
+        new_support = int(np.count_nonzero((row != 0) & uncovered))
+        residual = float(np.maximum(row - covered_mass, 0.0).sum())
+        heapq.heappush(
+            heap, (-new_support, -residual, task_id, len(selected))
+        )
     return selected
 
 

@@ -253,9 +253,12 @@ class ICrowdHTTPServer:
         Closes the listening socket and every open connection, then
         joins the connections' handler threads (up to
         :data:`STOP_JOIN_S` in all), so nothing is served after this
-        returns.
+        returns.  A server that was never started only closes its
+        listening socket: ``shutdown()`` would wait for a serve loop
+        that never ran.
         """
-        self._httpd.shutdown()
+        if self._thread is not None:
+            self._httpd.shutdown()
         self._httpd.server_close()
         self._httpd.close_connections(STOP_JOIN_S)
         if self._thread is not None:

@@ -5,7 +5,8 @@ import pytest
 from scipy import sparse
 
 from repro.core.config import GraphConfig
-from repro.core.graph import SimilarityGraph
+from repro.core.graph import SimilarityGraph, component_labels
+from tests.core.ppr_oracle import clustered_graph
 
 
 class TestConstruction:
@@ -127,6 +128,68 @@ class TestAccessors:
         ipod_ids = {t.task_id for t in paper_tasks if t.domain == "ipod"}
         containing = [c for c in components if c & ipod_ids]
         assert len(containing) == 1
+
+
+def symmetric(n, heads, tails):
+    matrix = sparse.csr_matrix(
+        (np.ones(len(heads)), (heads, tails)), shape=(n, n)
+    )
+    return (matrix + matrix.T).tocsr()
+
+
+class TestComponentLabels:
+    """The numpy labelling gives scipy.sparse.csgraph's partition."""
+
+    def assert_matches_csgraph(self, matrix):
+        from scipy.sparse import csgraph
+
+        labels = component_labels(matrix.indptr, matrix.indices)
+        count, expected = csgraph.connected_components(matrix, directed=False)
+        roots, compact = np.unique(labels, return_inverse=True)
+        assert roots.size == count
+        # csgraph numbers components in order of their smallest node,
+        # and a label is that node
+        assert np.array_equal(compact, expected)
+        assert np.array_equal(labels[roots], roots)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(50, 400))
+        edges = int(rng.integers(0, 2 * n))
+        self.assert_matches_csgraph(
+            symmetric(n, rng.integers(0, n, edges), rng.integers(0, n, edges))
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_clustered_graphs_with_isolated_tasks(self, seed):
+        graph = clustered_graph(300, 7, 2, 25, seed=seed)
+        self.assert_matches_csgraph(graph.matrix)
+
+    def test_no_edges(self):
+        self.assert_matches_csgraph(sparse.csr_matrix((40, 40)))
+        labels = component_labels(np.zeros(1, dtype=np.int64), np.zeros(0))
+        assert labels.size == 0
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "random"])
+    def test_long_path(self, order):
+        n = 5000
+        ids = {
+            "ascending": np.arange(n),
+            "descending": np.arange(n)[::-1],
+            "random": np.random.default_rng(0).permutation(n),
+        }[order]
+        path = symmetric(n, ids[:-1], ids[1:])
+        labels = component_labels(path.indptr, path.indices)
+        assert np.array_equal(labels, np.zeros(n))
+        self.assert_matches_csgraph(path)
+
+    def test_graph_components_keep_their_order(self):
+        graph = clustered_graph(200, 5, 2, 10, seed=1)
+        components = graph.connected_components()
+        smallest = [min(c) for c in components]
+        assert smallest == sorted(smallest)
+        assert sum(map(len, components)) == 200
 
 
 class TestFromTasks:

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from repro.core import ppr
 from repro.core.ppr import (
     PPRBasis,
+    component_blocks,
     forward_push,
     power_iteration,
     solve_exact,
 )
 from tests.core.online_oracle import combine_rows
+from tests.core.ppr_oracle import clustered_graph, dense_batch_basis
 
 
 def dense_unit(n, i):
@@ -162,6 +165,114 @@ class TestPPRBasis:
             line_graph.normalized, damping=0.5, method="auto"
         )
         assert basis.num_tasks == 5
+
+
+def same_bits(a, b):
+    return (
+        np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and a.data.tobytes() == b.data.tobytes()
+    )
+
+
+#: (tasks, groups, degree, isolated): below, at and just above the
+#: minimum block, one component, many small components, and components
+#: larger than the minimum block
+BLOCK_SHAPES = [
+    (60, 3, 3, 5),
+    (128, 4, 3, 10),
+    (129, 4, 3, 10),
+    (300, 1, 4, 0),
+    (400, 40, 2, 30),
+    (700, 5, 6, 20),
+]
+
+
+class TestBlockBatch:
+    """``method="batch"`` iterates blocks of whole components in
+    lock-step; the basis is the whole-graph iteration's, bit for bit."""
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-6])
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_dense_iteration(self, shape, epsilon, seed):
+        graph = clustered_graph(*shape, seed=seed)
+        expected = dense_batch_basis(graph.normalized, 0.5, epsilon)
+        basis = PPRBasis.compute(
+            graph.normalized, damping=0.5, epsilon=epsilon, method="batch"
+        )
+        assert same_bits(basis.matrix, expected)
+        assert basis.matrix.indices.dtype == expected.indices.dtype
+
+    @pytest.mark.parametrize("max_iter", [1, 3])
+    def test_unconverged_blocks_stop_together(self, max_iter):
+        graph = clustered_graph(400, 6, 3, 12, seed=4)
+        expected = dense_batch_basis(
+            graph.normalized, 0.8, 1e-6, max_iter=max_iter
+        )
+        basis = PPRBasis.compute(
+            graph.normalized, damping=0.8, method="batch",
+            max_iter=max_iter,
+        )
+        assert same_bits(basis.matrix, expected)
+
+    def test_blocks_pack_whole_components(self):
+        graph = clustered_graph(700, 30, 2, 40, seed=2)
+        blocks = component_blocks(graph.normalized, 128)
+        components = graph.connected_components()
+        assert np.array_equal(
+            np.sort(np.concatenate(blocks)), np.arange(700)
+        )
+        for block in blocks:
+            assert np.array_equal(block, np.sort(block))
+            members = set(block.tolist())
+            inside = [c for c in components if c & members]
+            assert all(c <= members for c in inside)
+            assert block.size <= 128 or len(inside) == 1
+        # no two neighbouring blocks would fit in one
+        sizes = [block.size for block in blocks]
+        assert all(a + b > 128 for a, b in zip(sizes, sizes[1:]))
+
+    def test_small_graph_is_one_block_without_labelling(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("labelled a graph of one block")
+
+        monkeypatch.setattr(ppr, "component_labels", refuse)
+        graph = clustered_graph(PPRBasis.MIN_BLOCK, 4, 3, 10, seed=0)
+        blocks = component_blocks(graph.normalized, PPRBasis.MIN_BLOCK)
+        assert len(blocks) == 1
+        assert np.array_equal(blocks[0], np.arange(PPRBasis.MIN_BLOCK))
+        PPRBasis.compute(graph.normalized, damping=0.5, method="auto")
+
+
+class TestAutoMethod:
+    """``method="auto"`` takes batch when its largest block fits under
+    ``AUTO_BATCH_LIMIT``, whatever |T| is, and push otherwise."""
+
+    def methods(self, graph):
+        normalized = graph.normalized
+        auto, batch, push = (
+            PPRBasis.compute(
+                normalized, damping=0.5, method=method, num_workers=1
+            ).matrix
+            for method in ("auto", "batch", "push")
+        )
+        assert not same_bits(batch, push)
+        return auto, batch, push
+
+    def test_batch_on_a_large_graph_of_small_components(self, monkeypatch):
+        monkeypatch.setattr(PPRBasis, "AUTO_BATCH_LIMIT", 200)
+        graph = clustered_graph(600, 12, 4, 10, seed=3)
+        assert max(map(len, graph.connected_components())) <= 200
+        auto, batch, _ = self.methods(graph)
+        assert same_bits(auto, batch)
+
+    def test_push_when_a_component_exceeds_the_limit(self, monkeypatch):
+        monkeypatch.setattr(PPRBasis, "AUTO_BATCH_LIMIT", 200)
+        graph = clustered_graph(600, 2, 4, 0, seed=3)
+        assert max(map(len, graph.connected_components())) > 200
+        auto, _, push = self.methods(graph)
+        assert same_bits(auto, push)
 
 
 class TestCombineMatchesRowLoop:

@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.estimator import AccuracyEstimator
 from repro.core.config import EstimatorConfig
+from repro.core.graph import SimilarityGraph
+from repro.core.ppr import PPRBasis
 from repro.core.qualification import (
     WarmUp,
     influence,
@@ -12,6 +14,10 @@ from repro.core.qualification import (
     select_random_tasks,
 )
 from repro.core.types import Label
+from repro.datasets import make_yahooqa
+from repro.experiments.setups import DATASET_GRAPHS
+from tests.core import qualification_oracle
+from tests.core.ppr_oracle import clustered_graph
 
 
 @pytest.fixture
@@ -74,6 +80,87 @@ class TestSelectQualification:
         assert len(selected) == 3
         domains = {paper_tasks[t].domain for t in selected}
         assert len(domains) >= 2
+
+
+def assert_same_picks(basis, budgets, candidates=None):
+    for budget in budgets:
+        picks = select_qualification_tasks(basis, budget, candidates)
+        expected = qualification_oracle.select_qualification_tasks(
+            basis, budget, candidates
+        )
+        assert picks == expected
+        assert all(type(task) is int for task in picks)
+
+
+class TestLazyMatchesEager:
+    """Lazy greedy picks what re-scoring every candidate picks."""
+
+    @pytest.mark.parametrize("method", ["batch", "push"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_budgets_around_the_pool_size(self, method, seed):
+        graph = clustered_graph(60, 3, 3, 5, seed=seed)
+        basis = PPRBasis.compute(
+            graph.normalized, damping=0.5, method=method
+        )
+        assert_same_picks(basis, (4, 60, 65))
+        candidates = list(range(1, 60, 3))
+        assert_same_picks(basis, (4, 20, 23), candidates)
+
+    @pytest.mark.parametrize("method", ["batch", "push"])
+    @pytest.mark.parametrize(
+        "shape",
+        [(300, 8, 3, 15), (200, 1, 5, 0), (400, 40, 2, 30), (1000, 10, 8, 0)],
+    )
+    def test_larger_graphs(self, method, shape):
+        graph = clustered_graph(*shape, seed=5)
+        basis = PPRBasis.compute(
+            graph.normalized, damping=0.5, method=method
+        )
+        assert_same_picks(basis, (10,))
+        assert_same_picks(basis, (10,), list(range(0, shape[0], 7)))
+
+    @pytest.mark.parametrize("method", ["batch", "push"])
+    @pytest.mark.parametrize("shape", ["cycle", "cliques"])
+    def test_tied_candidates(self, method, shape):
+        """Keys that are equal in exact arithmetic but that the rounding
+        of dense sums splits: a first-round bound from a sparse sum must
+        stay above each of them."""
+        if shape == "cycle":
+            num_tasks = 64
+            edges = [(i, (i + 1) % num_tasks, 1.0) for i in range(num_tasks)]
+        else:
+            num_tasks = 72
+            edges = [
+                (c * 9 + i, c * 9 + j, 1.0)
+                for c in range(8)
+                for i in range(9)
+                for j in range(i + 1, 9)
+            ]
+        graph = SimilarityGraph.from_edges(num_tasks, edges)
+        basis = PPRBasis.compute(
+            graph.normalized, damping=0.5, method=method
+        )
+        assert_same_picks(basis, (5, 20))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_yahooqa_graphs(self, seed):
+        tasks = make_yahooqa(seed=seed)
+        graph = SimilarityGraph.from_tasks(
+            list(tasks), DATASET_GRAPHS["yahooqa"], seed=seed
+        )
+        basis = AccuracyEstimator(graph).basis
+        assert_same_picks(basis, (10, graph.num_tasks))
+
+    def test_numpy_candidates_give_python_ints(self, clique_basis):
+        picks = select_qualification_tasks(
+            clique_basis, 2, np.array([5, 4, 3, 4])
+        )
+        assert all(type(task) is int for task in picks)
+        assert set(picks) <= {3, 4, 5}
+
+    def test_rejects_candidates_out_of_range(self, clique_basis):
+        with pytest.raises(ValueError, match="candidate"):
+            select_qualification_tasks(clique_basis, 2, [0, 6])
 
 
 class TestSelectRandom:

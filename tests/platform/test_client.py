@@ -163,7 +163,7 @@ class TestTransportFailures:
         policy = RandomMV(tasks, k=1, seed=0)
         probe = ICrowdHTTPServer(tasks, policy)
         dead_address = probe.address
-        probe._httpd.server_close()
+        probe.stop()
         client = ICrowdClient(dead_address, max_retries=2, backoff=0.0)
         with pytest.raises(TransportError, match="3 attempts"):
             client.request_task("w1")

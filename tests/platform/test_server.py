@@ -3,6 +3,7 @@
 import http.client
 import json
 import socket
+import threading
 
 import pytest
 
@@ -248,6 +249,16 @@ class TestStatusAndLifecycle:
     def test_unknown_route(self, server):
         status, _ = call(server, "GET", "/nope")
         assert status == 404
+
+    def test_stop_without_start_returns(self, tasks):
+        server = ICrowdHTTPServer(tasks, RandomMV(tasks, k=1, seed=0))
+        # in a thread, so that a stop() that blocks fails the test
+        # instead of hanging the suite
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=2)
+        assert not stopper.is_alive()
+        assert server._httpd.socket.fileno() == -1
 
     def test_double_start_rejected(self, tasks):
         policy = RandomMV(tasks, k=1, seed=0)
