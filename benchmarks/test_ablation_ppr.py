@@ -23,7 +23,7 @@ import numpy as np
 from conftest import run_once
 
 from repro.core.ppr import PPRBasis, forward_push
-from repro.experiments.figures import _random_normalized_graph
+from repro.experiments.figures import random_normalized_graph
 
 
 def test_ablation_solver_scaling(benchmark, record):
@@ -33,7 +33,7 @@ def test_ablation_solver_scaling(benchmark, record):
     def measure():
         rows = {}
         for n in (1500, 6000):
-            normalized = _random_normalized_graph(n, 8, seed=3)
+            normalized = random_normalized_graph(n, 8, seed=3)
             # push: time a fixed sample of source rows
             t0 = time.perf_counter()
             for source in range(0, 100):
@@ -66,7 +66,7 @@ def test_ablation_solver_scaling(benchmark, record):
 
 def test_ablation_truncation_tradeoff(benchmark, record):
     """ε controls the basis memory/accuracy trade-off monotonically."""
-    normalized = _random_normalized_graph(400, 8, seed=4)
+    normalized = random_normalized_graph(400, 8, seed=4)
     epsilons = [1e-8, 1e-3, 1e-2]
 
     def sweep():

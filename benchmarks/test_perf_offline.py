@@ -10,9 +10,6 @@ speedups the fast offline phase is built to deliver:
   container marks the parallel timings ``skipped_single_core``),
 - a warm (cached) estimator start is ≥ 10× faster than a cold compute
   on the Fig. 10 workload, bit-identical to the fresh basis,
-- incremental basis repair on the insertion-round protocol stays
-  within tolerance of a full rebuild and beats it ≥ 5× per batch at
-  the 5k-task scale (serial vs serial — honest on any core count),
 - the race sanitizer finds nothing on the hardened ledgers, and its
   worst-case (all-traced-loop) tax stays bounded; the <5× acceptance
   bound on the real hammer suite lives in ``test_race_overhead.py``.
@@ -59,12 +56,6 @@ def test_perf_offline(benchmark, record):
     assert result.cache["warm_from_cache"]
     assert result.cache["bit_identical"]
     assert result.cache["speedup"] >= 10.0, result.cache
-
-    # incremental: repair matches the rebuild and wins big; both sides
-    # are serial so this holds regardless of core count
-    assert result.incremental["status"] == "ok"
-    assert result.incremental["within_epsilon"], result.incremental
-    assert result.incremental["speedup"] >= 5.0, result.incremental
 
     # sanitizer: clean ledgers, and the worst-case micro-hammer tax
     # (every loop line traced) stays within an order of magnitude

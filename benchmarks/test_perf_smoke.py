@@ -25,10 +25,6 @@ def test_perf_smoke(tmp_path):
         num_workers=2,
         cache_dir=tmp_path,
         seed=7,
-        stream_tasks=300,
-        stream_batch=50,
-        stream_rounds=2,
-        cluster_size=50,
     )
 
     # every section ran and reported an honest shape — no speedup
@@ -44,15 +40,6 @@ def test_perf_smoke(tmp_path):
 
     assert result.cache["warm_from_cache"]
     assert result.cache["bit_identical"]
-
-    # repair-equals-rebuild identity: the repaired basis must stay
-    # within tolerance of a cold rebuild on every insertion round
-    # (identity only — the >= 5x speedup guard lives in the full bench)
-    incremental = result.incremental
-    assert incremental["status"] == "ok"
-    assert incremental["rounds"] == 2
-    assert incremental["within_epsilon"], incremental
-    assert all(r > 0 for r in incremental["reused_rows"]), incremental
 
     # sanitizer section ran and found nothing on the hardened ledgers
     # (no overhead guard at toy sizes — that lives in the full bench)

@@ -11,7 +11,7 @@ Run:  python examples/scalability_demo.py
 import time
 
 from repro.core.streaming import FrozenGraph, StreamingAssigner
-from repro.experiments.figures import _random_normalized_graph
+from repro.experiments.figures import random_normalized_graph
 from repro.utils.rng import spawn_rng
 
 SIZES = [25_000, 50_000, 100_000, 200_000]
@@ -29,7 +29,7 @@ def main() -> None:
           f"{'per request':<14}")
     for num_tasks in SIZES:
         t0 = time.perf_counter()
-        normalized = _random_normalized_graph(
+        normalized = random_normalized_graph(
             num_tasks, MAX_NEIGHBORS, seed=1
         )
         build_elapsed = time.perf_counter() - t0

@@ -139,28 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf.add_argument("--seed", type=int, default=7)
     perf.add_argument(
-        "--incremental", dest="incremental", action="store_true",
-        default=True,
-        help="measure insertion-round basis repair vs full rebuild "
-        "(default: on)",
-    )
-    perf.add_argument(
-        "--no-incremental", dest="incremental", action="store_false",
-        help="skip the incremental section",
-    )
-    perf.add_argument(
-        "--stream-tasks", type=int, default=5_000,
-        help="initial graph size for the incremental section",
-    )
-    perf.add_argument(
-        "--stream-batch", type=int, default=100,
-        help="tasks inserted per incremental round",
-    )
-    perf.add_argument(
-        "--stream-rounds", type=int, default=3,
-        help="insertion rounds in the incremental section",
-    )
-    perf.add_argument(
         "--sanitizer", dest="sanitizer", action="store_true",
         default=True,
         help="measure the race-sanitizer instrumentation tax "
@@ -325,10 +303,6 @@ def main(argv: list[str] | None = None) -> int:
             num_workers=args.workers,
             cache_dir=args.cache_dir,
             seed=args.seed,
-            incremental=args.incremental,
-            stream_tasks=args.stream_tasks,
-            stream_batch=args.stream_batch,
-            stream_rounds=args.stream_rounds,
             sanitizer=args.sanitizer,
             profile_path=args.profile,
         )

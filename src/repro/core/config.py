@@ -38,13 +38,6 @@ class EstimatorConfig:
     #: (the ``REPRO_BASIS_CACHE`` environment variable then acts as the
     #: fallback default, see :class:`repro.core.AccuracyEstimator`).
     basis_cache_dir: str | None = None
-    #: Route graph updates through incremental basis repair
-    #: (:meth:`repro.core.ppr.PPRBasis.repair`): when the estimator's
-    #: graph is swapped via ``update_graph`` and a basis already
-    #: exists, only the rows the change perturbs are re-pushed — the
-    #: repaired basis stays within ``basis_epsilon`` of a cold rebuild.
-    #: False (default) recomputes from scratch on every graph change.
-    incremental: bool = False
 
     def __post_init__(self) -> None:
         if self.alpha < 0:

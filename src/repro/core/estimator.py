@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 import pathlib
 from collections import OrderedDict
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -65,8 +65,7 @@ class AccuracyEstimator:
     graph:
         The microtask similarity graph.
     config:
-        Estimation knobs (``alpha``, tolerances, truncation, caching,
-        incremental repair).
+        Estimation knobs (``alpha``, tolerances, truncation, caching).
     basis_method:
         ``"auto"`` (default), ``"push"``, ``"parallel-push"`` or
         ``"batch"`` for the offline basis computation.
@@ -172,62 +171,6 @@ class AccuracyEstimator:
     def precompute(self) -> None:
         """Force the offline basis computation (Algorithm 1 lines 2-4)."""
         _ = self.basis
-
-    def update_graph(
-        self,
-        graph: SimilarityGraph,
-        dirty: "Sequence[TaskId]" = (),
-    ) -> None:
-        """Swap in a grown graph, maintaining the basis incrementally.
-
-        ``graph`` must contain the old task set as a prefix (task ids
-        are stable; the stream only appends).  ``dirty`` names every
-        old task whose row of ``S'`` changed — pass
-        ``GrowableGraph.delta().dirty_rows`` — new tasks are implied
-        by the size difference and need not be listed.
-
-        With ``config.incremental`` set and a basis already
-        materialised, the basis is repaired in place of a recompute
-        (:meth:`repro.core.ppr.PPRBasis.repair`): only perturbed and
-        new rows are re-pushed, and the result — within
-        ``basis_epsilon`` of a cold rebuild — is re-keyed into the
-        on-disk cache under the new graph's content hash.  Without
-        ``incremental`` (or before any basis exists), the basis is
-        simply dropped and the next access recomputes cold.
-        """
-        old_graph = self.graph
-        self.graph = graph
-        self._mass_cache.clear()
-        if not (self.config.incremental and self._basis is not None):
-            self._basis = None
-            self.basis_from_cache = False
-            return
-        if graph.num_tasks < old_graph.num_tasks:
-            raise ValueError(
-                "update_graph cannot shrink the task set "
-                f"({old_graph.num_tasks} -> {graph.num_tasks})"
-            )
-        with self.recorder.span(
-            "estimator.repair", tasks=graph.num_tasks
-        ):
-            repaired = self._basis.repair(
-                graph.normalized,
-                dirty,
-                damping=self.config.damping,
-                epsilon=self.config.basis_epsilon,
-                recorder=self.recorder,
-            )
-        self._basis = repaired
-        self.basis_from_cache = False
-        if self._cache_dir is not None:
-            from repro.core.persistence import basis_cache_key, save_basis
-
-            key = basis_cache_key(
-                graph.normalized,
-                self.config.damping,
-                self.config.basis_epsilon,
-            )
-            save_basis(repaired, self._cache_dir, key)
 
     # ------------------------------------------------------------------
     # online phase

@@ -25,17 +25,6 @@ offline (Algorithm 1's offline phase) and the online estimate is the
 ``q``-weighted sum of basis rows, an O(|T|) combination.  The offline
 phase can run serially (``method="push"``) or split over a process
 pool (``method="parallel-push"``); both produce identical bases.
-
-The same linearity powers **incremental maintenance** for unbounded
-task streams (:meth:`PPRBasis.repair`):
-when the graph gains tasks or edges, an old solution ``p`` is still a
-valid *partial* solution against the new matrix — the push invariant
-``p* = p + (1-c)(I - cS')^{-1} r`` holds exactly for the residual
-``r = e_i - (p - c·S'p)/(1-c)``.  Seeding :meth:`PushKernel.resume`
-with ``(p, r)`` and draining to the usual ``epsilon`` invariant repairs
-a perturbed row at O(Δ) cost instead of a cold re-solve; rows whose
-support the change never reaches keep satisfying the invariant and are
-carried over untouched.
 """
 
 from __future__ import annotations
@@ -76,25 +65,6 @@ class PushStats:
     residual_norm: float = 0.0
     #: True when the ``max_pushes`` limit cut the solve short.
     truncated: bool = False
-
-
-@dataclass
-class RepairStats:
-    """Work summary of one incremental basis repair.
-
-    Pass a fresh instance via the ``stats`` parameter of
-    :meth:`PPRBasis.repair` to observe how much of the basis the change
-    actually perturbed.
-    """
-
-    #: Existing rows re-pushed because the change reached their support.
-    repaired_rows: int = 0
-    #: Rows solved cold for tasks added since the basis was built.
-    new_rows: int = 0
-    #: Rows carried over untouched (their push invariant still holds).
-    reused_rows: int = 0
-    #: Node relaxations across all repair + cold pushes.
-    pushes: int = 0
 
 
 def power_iteration(
@@ -217,75 +187,16 @@ class PushKernel:
         if not 0 <= source < n:
             raise ValueError(f"source {source} out of range")
         limit = max_pushes if max_pushes is not None else _default_push_limit(n)
-        self._residual[source] = 1.0
-        frontier = np.array([source], dtype=np.int64)
-        return self._drain(
-            frontier, [frontier], damping, epsilon, limit,
-            f"source {source}",
-        )
-
-    def resume(
-        self,
-        estimate_nodes: np.ndarray,
-        estimate_values: np.ndarray,
-        residual_nodes: np.ndarray,
-        residual_values: np.ndarray,
-        damping: float,
-        epsilon: float = 1e-7,
-        max_pushes: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, PushStats]:
-        """Continue a push from an explicit ``(estimate, residual)`` seed.
-
-        The repair primitive of incremental basis maintenance: the push
-        invariant ``p* = p + (1-c)(I - cS')^{-1} r`` holds for *any*
-        seeded pair, so an old (possibly truncated) solution plus the
-        residual it misses against a changed matrix drains to the same
-        ``epsilon`` invariant as a cold :meth:`push` — at the cost of
-        only the perturbed mass.  Node arrays must be deduplicated
-        (canonical CSR row slices are); values may be negative (mass
-        that the change *removed*).
-        """
-        if not 0 < damping < 1:
-            raise ValueError(f"damping must be in (0, 1), got {damping}")
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        limit = (
-            max_pushes if max_pushes is not None
-            else _default_push_limit(self.n)
-        )
-        est_nodes = np.asarray(estimate_nodes, dtype=np.int64)
-        res_nodes = np.asarray(residual_nodes, dtype=np.int64)
-        self._estimate[est_nodes] = np.asarray(
-            estimate_values, dtype=np.float64
-        )
-        self._residual[res_nodes] = np.asarray(
-            residual_values, dtype=np.float64
-        )
-        frontier = res_nodes[np.abs(self._residual[res_nodes]) >= epsilon]
-        return self._drain(
-            frontier, [est_nodes, res_nodes], damping, epsilon, limit,
-            "resumed seed",
-        )
-
-    def _drain(
-        self,
-        frontier: np.ndarray,
-        touched: list[np.ndarray],
-        damping: float,
-        epsilon: float,
-        limit: int,
-        origin: str,
-    ) -> tuple[np.ndarray, np.ndarray, PushStats]:
-        """Shared push loop: relax residuals seeded in the workspace
-        buffers until all sit below ``epsilon`` (or ``limit`` cuts the
-        solve short), then collect the estimate and reset the buffers.
-        """
         c = damping
         residual = self._residual
         estimate = self._estimate
         indptr = self._indptr
         indices = self._indices
         data = self._data
+
+        residual[source] = 1.0
+        frontier = np.array([source], dtype=np.int64)
+        touched = [frontier]
         pushes = 0
         dense = False
         truncated = False
@@ -368,12 +279,12 @@ class PushKernel:
                 "Solves cut short by the max_pushes work limit.",
             ).inc()
             warnings.warn(
-                f"forward push from {origin} truncated after "
+                f"forward push from source {source} truncated after "
                 f"{pushes} pushes with residual mass "
                 f"{residual_norm:.3g} >= epsilon={epsilon:g}; the "
                 f"estimate is partial (raise max_pushes or epsilon)",
                 ConvergenceWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
         return nodes, values, stats
 
@@ -576,37 +487,34 @@ def push_sources(
     damping: float,
     push_epsilon: float,
     epsilon: float,
-    stats: RepairStats | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Push every source in ``sources`` and pack the surviving entries.
 
     Returns per-row entry counts plus the concatenated column/value
     arrays — the raw CSR building blocks — without ever materialising
     per-entry Python objects.  Sources may be any id sequence (a
-    contiguous range or a sorted id array).  ``stats`` accumulates the
-    push count (the cold-row half of incremental repair).
+    contiguous range or a sorted id array).  Columns come in the index
+    dtype scipy stores (:func:`csr_index_dtype`), so pool units ship
+    them at that width and :func:`assemble_csr` keeps them as they are.
     """
+    index = csr_index_dtype(kernel.n)
     counts = np.zeros(len(sources), dtype=np.int64)
     col_parts: list[np.ndarray] = []
     val_parts: list[np.ndarray] = []
-    pushes = 0
     for offset, source in enumerate(sources):
-        nodes, values, push_stats = kernel.push(
+        nodes, values, _ = kernel.push(
             int(source), damping, epsilon=push_epsilon
         )
-        pushes += push_stats.pushes
         if epsilon > 0:
             keep = np.abs(values) >= epsilon
             nodes, values = nodes[keep], values[keep]
         counts[offset] = len(nodes)
-        col_parts.append(nodes)
+        col_parts.append(nodes.astype(index, copy=False))
         val_parts.append(values)
-    if stats is not None:
-        stats.pushes += pushes
     cols = (
         np.concatenate(col_parts)
         if col_parts
-        else np.zeros(0, dtype=np.int64)
+        else np.zeros(0, dtype=index)
     )
     vals = (
         np.concatenate(val_parts)
@@ -614,6 +522,12 @@ def push_sources(
         else np.zeros(0, dtype=np.float64)
     )
     return counts, cols, vals
+
+
+def csr_index_dtype(maxval: int) -> type[np.int32] | type[np.int64]:
+    """The index dtype scipy stores for a CSR whose shape and nnz are at
+    most ``maxval``: int32 while that fits, int64 beyond."""
+    return np.int32 if maxval <= np.iinfo(np.int32).max else np.int64
 
 
 def csr_row_positions(
@@ -642,141 +556,22 @@ def assemble_csr(
     """CSR from per-row counts + packed columns/values (no COO pass).
 
     The push kernel emits each row's columns already sorted, so the
-    ``(data, indices, indptr)`` constructor is valid directly.
+    ``(data, indices, indptr)`` constructor is valid directly.  Columns
+    and ``indptr`` are staged in the index dtype scipy keeps
+    (:func:`csr_index_dtype`), so columns of that dtype are stored
+    without a copy.
     """
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    index = csr_index_dtype(max(*shape, len(cols)))
+    indptr = np.zeros(shape[0] + 1, dtype=index)
     np.cumsum(counts, out=indptr[1:])
     return sparse.csr_matrix(
         (
             np.asarray(vals, dtype=np.float64),
-            np.asarray(cols, dtype=np.int64),
+            np.asarray(cols, dtype=index),
             indptr,
         ),
         shape=shape,
     )
-
-
-def _rows_touching(
-    indptr: np.ndarray, indices: np.ndarray, columns: np.ndarray
-) -> np.ndarray:
-    """Row ids of a CSR structure holding ≥ 1 stored entry in ``columns``.
-
-    The dirty-source detector of incremental repair: a basis row can
-    only be perturbed by a change whose Δ columns intersect its stored
-    support (Lemma 3 linearity — ``Δ·p`` vanishes elsewhere).
-    """
-    if columns.size == 0 or indices.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    hits = np.flatnonzero(np.isin(indices, columns))
-    if hits.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    rows = np.searchsorted(indptr, hits, side="right") - 1
-    return np.unique(rows).astype(np.int64)
-
-
-def repair_residual_seeds(
-    rows: sparse.csr_matrix,
-    sources: np.ndarray,
-    normalized: sparse.csr_matrix,
-    damping: float,
-) -> sparse.csr_matrix:
-    """Residual mass each old solution misses against the new matrix.
-
-    For source ``i`` with old (truncated) solution ``p``, the exact
-    residual making the push invariant hold against the *new* ``S'`` is
-
-        ``r = e_i - (p - c·S'p) / (1-c)``
-
-    — rearranging ``p* = (1-c)(I - cS')^{-1} e_i`` with ``p`` taken as
-    the partial estimate.  When nothing changed inside ``p``'s reach,
-    ``r`` is exactly the sub-``epsilon`` residual the original solve
-    left behind; a changed entry of ``S'`` surfaces as new (possibly
-    negative) mass at the perturbed coordinates.  Vectorised over all
-    ``sources`` as one sparse product; ``rows[k]`` must be the old
-    basis row of ``sources[k]``, padded to the new matrix width.
-    """
-    k = rows.shape[0]
-    restart = sparse.csr_matrix(
-        (
-            np.ones(k, dtype=np.float64),
-            (np.arange(k, dtype=np.int64), sources),
-        ),
-        shape=rows.shape,
-    )
-    propagated = (rows @ normalized).tocsr()
-    correction = (1.0 / (1.0 - damping)) * (rows - damping * propagated)
-    return (restart - correction).tocsr()
-
-
-def repair_rows(
-    kernel: PushKernel,
-    normalized: sparse.csr_matrix,
-    sources: np.ndarray,
-    rows: sparse.csr_matrix,
-    damping: float,
-    push_epsilon: float,
-    epsilon: float,
-    stats: RepairStats | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Re-solve ``sources`` by pushing only their perturbed residual.
-
-    Seeds each source's old row plus the residual it misses against
-    ``normalized`` (see :func:`repair_residual_seeds`) and drains to
-    ``push_epsilon`` — the same invariant a cold solve terminates on.
-    Returns packed CSR parts like :func:`push_sources`.
-    """
-    seeds = repair_residual_seeds(rows, sources, normalized, damping)
-    counts = np.zeros(sources.size, dtype=np.int64)
-    col_parts: list[np.ndarray] = []
-    val_parts: list[np.ndarray] = []
-    pushes = 0
-    for offset in range(sources.size):
-        e0, e1 = rows.indptr[offset], rows.indptr[offset + 1]
-        r0, r1 = seeds.indptr[offset], seeds.indptr[offset + 1]
-        nodes, values, push_stats = kernel.resume(
-            rows.indices[e0:e1],
-            rows.data[e0:e1],
-            seeds.indices[r0:r1],
-            seeds.data[r0:r1],
-            damping,
-            epsilon=push_epsilon,
-        )
-        pushes += push_stats.pushes
-        if epsilon > 0:
-            keep = np.abs(values) >= epsilon
-            nodes, values = nodes[keep], values[keep]
-        counts[offset] = len(nodes)
-        col_parts.append(nodes)
-        val_parts.append(values)
-    if stats is not None:
-        stats.pushes += pushes
-    cols = (
-        np.concatenate(col_parts)
-        if col_parts
-        else np.zeros(0, dtype=np.int64)
-    )
-    vals = (
-        np.concatenate(val_parts)
-        if val_parts
-        else np.zeros(0, dtype=np.float64)
-    )
-    return counts, cols, vals
-
-
-def _as_dirty_array(dirty: "Sequence[int] | np.ndarray", n: int) -> np.ndarray:
-    """Canonicalise a dirty-node collection: sorted unique int64 ids."""
-    if isinstance(dirty, np.ndarray):
-        arr = np.unique(dirty.astype(np.int64))
-    else:
-        arr = np.unique(np.fromiter(
-            (int(d) for d in dirty), dtype=np.int64
-        ))
-    if arr.size and (arr[0] < 0 or arr[-1] >= n):
-        raise ValueError(
-            f"dirty ids must lie in [0, {n}), got "
-            f"[{arr[0]}, {arr[-1]}]"
-        )
-    return arr
 
 
 def _chunk_sources_by_nnz(
@@ -1023,7 +818,7 @@ class PPRBasis:
             return sparse.csr_matrix(iterates[0].T)
         total = sum(np.count_nonzero(basis) for basis in iterates)
         counts = np.empty(n, dtype=np.int64)
-        cols = np.empty(total, dtype=np.int64)
+        cols = np.empty(total, dtype=csr_index_dtype(max(n, total)))
         vals = np.empty(total)
         row = entry = 0
         for members in blocks:
@@ -1156,137 +951,3 @@ class PPRBasis:
         if q.shape != (n,):
             raise ValueError(f"q has shape {q.shape}, expected ({n},)")
         return np.asarray(q @ self._matrix).ravel()
-
-    def _rows_block(
-        self, task_ids: np.ndarray, width: int
-    ) -> sparse.csr_matrix:
-        """CSR block of the given basis rows, padded to ``width``
-        columns (repair needs old rows in new-matrix coordinates)."""
-        block = self._matrix[task_ids].tocsr()
-        return sparse.csr_matrix(
-            (block.data, block.indices, block.indptr),
-            shape=(block.shape[0], width),
-        )
-
-    def repair(
-        self,
-        normalized: sparse.csr_matrix,
-        dirty: "Sequence[int] | np.ndarray",
-        damping: float,
-        epsilon: float = 1e-6,
-        stats: RepairStats | None = None,
-        recorder: Recorder = NULL_RECORDER,
-    ) -> "PPRBasis":
-        """Incrementally repair this basis against a changed matrix.
-
-        Parameters
-        ----------
-        normalized:
-            The **new** ``S'`` (full, possibly larger than the matrix
-            this basis was built on; the task set may only grow).
-        dirty:
-            Ids of every node whose *row of* ``S'`` changed since this
-            basis was built — endpoints of new/changed edges plus their
-            neighbours (degree renormalisation reaches one hop); see
-            :meth:`repro.core.streaming.GrowableGraph.delta`.
-        damping / epsilon:
-            Must match the values the basis was built with: the repair
-            drains to ``basis_push_epsilon(epsilon)`` and truncates
-            stored entries at ``epsilon``, keeping the repaired rows in
-            the same invariant class as a cold build.
-        stats:
-            Optional :class:`RepairStats` out-parameter.
-
-        Returns the repaired basis (a new object; ``self`` is
-        untouched).  Only sources whose stored support intersects
-        ``dirty`` are re-pushed — seeded with their old solution plus
-        the residual it misses against the new matrix — and tasks past
-        the old size are solved cold; every other row is carried over
-        by reference.  The result is within the ``epsilon`` invariant
-        of a cold rebuild, but not bit-identical to one (residuals
-        below the push tolerance differ).
-        """
-        matrix = normalized.tocsr()
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("normalized matrix must be square")
-        n_new = matrix.shape[0]
-        n_old = self.num_tasks
-        if n_new < n_old:
-            raise ValueError(
-                f"repair cannot shrink the task set ({n_old} -> {n_new})"
-            )
-        dirty_arr = _as_dirty_array(dirty, n_new)
-        old = self._matrix
-        dirty_cols = dirty_arr[dirty_arr < n_old]
-        # rows to re-push: support touches a dirty column, plus the
-        # dirty nodes themselves (their own S' row changed)
-        dirty_sources = np.union1d(
-            _rows_touching(old.indptr, old.indices, dirty_cols),
-            dirty_cols,
-        )
-        push_eps = basis_push_epsilon(epsilon)
-        with recorder.span(
-            "ppr.repair",
-            rows=n_new,
-            dirty=int(dirty_sources.size),
-            new=n_new - n_old,
-        ):
-            kernel = PushKernel(matrix, recorder=recorder)
-            d_counts, d_cols, d_vals = repair_rows(
-                kernel, matrix, dirty_sources,
-                self._rows_block(dirty_sources, n_new),
-                damping, push_eps, epsilon, stats,
-            )
-            new_sources = np.arange(n_old, n_new, dtype=np.int64)
-            n_counts, n_cols, n_vals = push_sources(
-                kernel, new_sources, damping, push_eps, epsilon, stats
-            )
-            # stitch: reused rows keep their slices of the old arrays
-            d_indptr = np.zeros(dirty_sources.size + 1, dtype=np.int64)
-            np.cumsum(d_counts, out=d_indptr[1:])
-            counts = np.empty(n_new, dtype=np.int64)
-            col_parts: list[np.ndarray] = []
-            val_parts: list[np.ndarray] = []
-            cursor = 0
-            for row in range(n_old):
-                if (
-                    cursor < dirty_sources.size
-                    and dirty_sources[cursor] == row
-                ):
-                    start, end = d_indptr[cursor], d_indptr[cursor + 1]
-                    col_parts.append(d_cols[start:end])
-                    val_parts.append(d_vals[start:end])
-                    counts[row] = end - start
-                    cursor += 1
-                else:
-                    start, end = old.indptr[row], old.indptr[row + 1]
-                    col_parts.append(old.indices[start:end])
-                    val_parts.append(old.data[start:end])
-                    counts[row] = end - start
-            counts[n_old:] = n_counts
-            col_parts.append(n_cols)
-            val_parts.append(n_vals)
-            repaired = assemble_csr(
-                counts,
-                np.concatenate(col_parts)
-                if col_parts
-                else np.zeros(0, dtype=np.int64),
-                np.concatenate(val_parts)
-                if val_parts
-                else np.zeros(0, dtype=np.float64),
-                shape=(n_new, n_new),
-            )
-        if stats is not None:
-            stats.repaired_rows += int(dirty_sources.size)
-            stats.new_rows += n_new - n_old
-            stats.reused_rows += n_old - int(dirty_sources.size)
-        recorder.counter(
-            "repro_ppr_repair_rows_total",
-            "Basis rows re-pushed or solved cold by incremental repair.",
-        ).inc(int(dirty_sources.size) + (n_new - n_old))
-        recorder.counter(
-            "repro_ppr_repair_reused_rows_total",
-            "Basis rows carried over untouched by incremental repair.",
-        ).inc(n_old - int(dirty_sources.size))
-        return PPRBasis(repaired)
-

@@ -18,20 +18,11 @@ efficiency."  That protocol needs a graph that *grows*:
 
 Per-request work stays neighbourhood-bounded, so assignment time is
 flat in |T| and across insertion rounds — the Figure 10 shape.
-
-The graph additionally keeps a **change journal** (:class:`GraphDelta`)
-recording which normalised rows moved since the last freeze: inserting
-edge ``{i, j}`` rescales rows ``i``/``j`` wholesale (their degrees
-changed) *and* the ``(·, i)`` / ``(·, j)`` entries of every neighbour
-row, so the dirty set of one edge is ``{i, j} ∪ N(i) ∪ N(j)``.  That
-set is exactly what :meth:`repro.core.ppr.PPRBasis.repair` needs to
-repair a frozen basis incrementally instead of recomputing it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.indexes import SparseEstimateIndex
@@ -39,34 +30,6 @@ from repro.core.types import TaskId, WorkerId
 
 if TYPE_CHECKING:
     from scipy import sparse
-
-
-@dataclass(frozen=True)
-class GraphDelta:
-    """What changed in a :class:`GrowableGraph` since its last freeze.
-
-    ``base_tasks`` is the task count at the last :meth:`mark_clean`
-    (or construction); every id in ``[base_tasks, num_tasks)`` is a new
-    task.  ``dirty_rows`` lists every task whose row of ``S'`` changed
-    — edge endpoints plus their neighbourhoods (degree renormalisation
-    reaches one hop) — including new tasks that received edges.  Feed
-    ``dirty_rows`` straight into ``PPRBasis.repair`` /
-    ``AccuracyEstimator.update_graph``.
-    """
-
-    base_tasks: int
-    num_tasks: int
-    dirty_rows: tuple[TaskId, ...] = field(default_factory=tuple)
-
-    @property
-    def new_tasks(self) -> range:
-        """Ids appended since the last freeze."""
-        return range(self.base_tasks, self.num_tasks)
-
-    @property
-    def is_clean(self) -> bool:
-        """True when nothing changed since the last freeze."""
-        return not self.dirty_rows and self.base_tasks == self.num_tasks
 
 
 class GrowableGraph:
@@ -80,9 +43,6 @@ class GrowableGraph:
     def __init__(self) -> None:
         self._adjacency: list[dict[TaskId, float]] = []
         self._degree: list[float] = []
-        # change journal: rows of S' perturbed since the last freeze
-        self._dirty: set[TaskId] = set()
-        self._clean_tasks: int = 0
 
     @property
     def num_tasks(self) -> int:
@@ -117,38 +77,10 @@ class GrowableGraph:
         if weight <= 0:
             raise ValueError(f"weight must be positive, got {weight}")
         previous = self._adjacency[i].get(j, 0.0)
-        # repro-lint: disable=RL004 -- exact no-op rewrite leaves S' untouched
-        if weight == previous:
-            return
         self._adjacency[i][j] = weight
         self._adjacency[j][i] = weight
         self._degree[i] += weight - previous
         self._degree[j] += weight - previous
-        # d_i/d_j changed: rows i and j rescale wholesale, and the
-        # (·, i)/(·, j) entries of every neighbour row move with them
-        self._dirty.add(i)
-        self._dirty.add(j)
-        self._dirty.update(self._adjacency[i])
-        self._dirty.update(self._adjacency[j])
-
-    def delta(self) -> GraphDelta:
-        """Snapshot of the change journal (non-destructive)."""
-        return GraphDelta(
-            base_tasks=self._clean_tasks,
-            num_tasks=self.num_tasks,
-            dirty_rows=tuple(sorted(self._dirty)),
-        )
-
-    def mark_clean(self) -> GraphDelta:
-        """Return the pending delta and reset the journal.
-
-        Call after feeding the delta into basis repair (or after a cold
-        rebuild): subsequent deltas are relative to this point.
-        """
-        pending = self.delta()
-        self._dirty.clear()
-        self._clean_tasks = self.num_tasks
-        return pending
 
     def neighbors(self, task_id: TaskId) -> dict[TaskId, float]:
         """Adjacency dict of a task (live view; do not mutate)."""
@@ -169,52 +101,6 @@ class GrowableGraph:
             if d_j > 0:
                 out[j] = weight / (d_i * d_j) ** 0.5
         return out
-
-    def normalized_csr(self) -> "sparse.csr_matrix":
-        """Freeze the current normalisation ``S'`` into a CSR snapshot.
-
-        Bridges the streaming regime to the offline machinery: a frozen
-        snapshot can feed :class:`repro.core.ppr.PPRBasis` (vectorised,
-        parallel, cached) or a :class:`FrozenGraph` once an insertion
-        phase settles.  Later insertions do not touch the returned
-        matrix.
-        """
-        import numpy as np
-
-        matrix = self.similarity_csr()
-        degree = np.asarray(self._degree, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            inv_sqrt = 1.0 / np.sqrt(degree)
-        inv_sqrt[~np.isfinite(inv_sqrt)] = 0.0
-        rows = np.repeat(np.arange(self.num_tasks), np.diff(matrix.indptr))
-        # same left-to-right product as s_ij * d_i^-1/2 * d_j^-1/2
-        matrix.data = matrix.data * inv_sqrt[rows] * inv_sqrt[matrix.indices]
-        return matrix
-
-    def similarity_csr(self) -> "sparse.csr_matrix":
-        """Freeze the raw (unnormalised) similarity matrix ``S``.
-
-        Feed this into :class:`repro.core.graph.SimilarityGraph` when
-        handing a settled snapshot to the batch estimator — it applies
-        its own normalisation and validation.
-        """
-        import numpy as np
-        from scipy import sparse
-
-        n = self.num_tasks
-        counts = np.fromiter(
-            (len(adj) for adj in self._adjacency), dtype=np.int64, count=n
-        )
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.empty(indptr[-1], dtype=np.int64)
-        data = np.empty(indptr[-1], dtype=np.float64)
-        for i, adj in enumerate(self._adjacency):
-            start = indptr[i]
-            for offset, (j, weight) in enumerate(sorted(adj.items())):
-                indices[start + offset] = j
-                data[start + offset] = weight
-        return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 class FrozenGraph:

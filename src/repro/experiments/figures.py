@@ -396,10 +396,6 @@ def random_normalized_graph(
     return (d_inv @ matrix @ d_inv).tocsr()
 
 
-#: Backwards-compatible alias (tests/benches imported the private name).
-_random_normalized_graph = random_normalized_graph
-
-
 def fig10_scalability(
     sizes: list[int] | None = None,
     neighbor_bounds: list[int] | None = None,
@@ -420,7 +416,7 @@ def fig10_scalability(
     elapsed: dict[tuple[int, int], float] = {}
     for max_neighbors in neighbor_bounds:
         for num_tasks in sizes:
-            normalized = _random_normalized_graph(
+            normalized = random_normalized_graph(
                 num_tasks, max_neighbors, seed
             )
             assigner = StreamingAssigner(

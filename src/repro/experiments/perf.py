@@ -10,14 +10,7 @@ Times the three layers of the fast offline phase on *this* machine:
    clock; parallel only wins with real cores).
 3. **Cache** — cold estimator start (compute + save) vs warm start
    (load from the on-disk basis cache), bit-identity verified.
-4. **Incremental** — the insertion-round protocol (Section 6.5): a
-   clustered graph grows by one task batch per round, and per-round
-   basis *repair* (:meth:`repro.core.ppr.PPRBasis.repair`, seeded by
-   the :class:`~repro.core.streaming.GrowableGraph` change journal) is
-   timed against a full rebuild, with the repaired basis checked
-   within ``epsilon`` of the rebuild.  Both sides run serial, so this
-   section is honest on any core count (no ``skipped_single_core``).
-5. **Sanitizer** — the lockset race sanitizer's instrumentation tax:
+4. **Sanitizer** — the lockset race sanitizer's instrumentation tax:
    a threaded lease-ledger hammer timed clean vs under
    :func:`repro.analysis.sanitizer.sanitized`, asserting zero races
    either way.  The sanitizer is strictly opt-in, so this tax is paid
@@ -52,12 +45,9 @@ from repro.core.graph import SimilarityGraph
 from repro.core.ppr import (
     PPRBasis,
     PushKernel,
-    RepairStats,
-    basis_push_epsilon,
     forward_push_reference,
     usable_cpu_count,
 )
-from repro.core.streaming import GrowableGraph
 from repro.experiments.figures import random_normalized_graph
 from repro.obs.profiling import profile_call
 from repro.obs.tracing import Stopwatch
@@ -81,38 +71,6 @@ def random_similarity_graph(
     return SimilarityGraph(matrix.maximum(matrix.T))
 
 
-def clustered_growable_graph(
-    num_tasks: int, cluster_size: int, neighbors: int, seed: int
-) -> GrowableGraph:
-    """A :class:`GrowableGraph` of intra-cluster random edges.
-
-    The streaming workload the paper's insertion protocol actually
-    produces: tasks arrive in topical batches, similar mostly to each
-    other.  Locality is what makes incremental repair pay — on an
-    expander every basis row reaches every change and repair degrades
-    to a rebuild, which would be the wrong workload to measure.
-    """
-    rng = spawn_rng(seed, f"perf-clustered-{num_tasks}-{cluster_size}")
-    graph = GrowableGraph()
-    graph.add_tasks(num_tasks)
-    for start in range(0, num_tasks, cluster_size):
-        end = min(start + cluster_size, num_tasks)
-        _add_cluster_edges(graph, range(start, end), neighbors, rng)
-    return graph
-
-
-def _add_cluster_edges(graph, members, neighbors, rng) -> None:
-    """Wire ``neighbors`` random intra-cluster edges per member."""
-    members = list(members)
-    if len(members) < 2:
-        return
-    for i in members:
-        for _ in range(neighbors):
-            j = int(members[int(rng.integers(0, len(members)))])
-            if j != i:
-                graph.add_edge(i, j, float(rng.uniform(0.5, 1.0)))
-
-
 @dataclass
 class PerfOfflineResult:
     """Measured offline-phase timings (see :func:`perf_offline`)."""
@@ -121,7 +79,6 @@ class PerfOfflineResult:
     kernel: dict = field(default_factory=dict)
     basis: dict = field(default_factory=dict)
     cache: dict = field(default_factory=dict)
-    incremental: dict = field(default_factory=dict)
     #: race-sanitizer instrumentation tax on a threaded ledger hammer
     sanitizer: dict = field(default_factory=dict)
     #: sampling-profiler summary of the whole measurement, when
@@ -171,31 +128,6 @@ class PerfOfflineResult:
             f"warm speedup: {c['speedup']:.1f}x; "
             f"bit-identical basis: {c['bit_identical']}",
         ]
-        i = self.incremental
-        if i:
-            rebuilds = ", ".join(
-                f"{t:.3f}" for t in i["rebuild_seconds"]
-            )
-            repairs = ", ".join(
-                f"{t:.3f}" for t in i["repair_seconds"]
-            )
-            lines += [
-                "",
-                f"[incremental] insertion rounds, "
-                f"{i['num_tasks']:,} -> {i['final_tasks']:,} tasks "
-                f"({i['rounds']} round(s) x {i['batch']} tasks, "
-                f"clusters of {i['cluster_size']}, "
-                f"epsilon={i['epsilon']:g})",
-                f"{'cold basis':<22}{i['cold_seconds']:<18.3f}",
-                f"per-round full rebuild (s): [{rebuilds}]",
-                f"per-round repair (s):       [{repairs}]",
-                f"rows re-pushed per round: {i['repaired_rows']} "
-                f"(+{i['batch']} new), reused: {i['reused_rows']}",
-                f"repair within epsilon of rebuild: "
-                f"{i['within_epsilon']} "
-                f"(max |diff| {i['max_abs_diff']:.2e}); "
-                f"repair speedup {i['speedup']:.1f}x (serial vs serial)",
-            ]
         z = self.sanitizer
         if z:
             lines += [
@@ -228,7 +160,6 @@ class PerfOfflineResult:
             "kernel": self.kernel,
             "basis": self.basis,
             "cache": self.cache,
-            "incremental": self.incremental,
             "sanitizer": self.sanitizer,
             "profile": self.profile,
         }
@@ -248,101 +179,6 @@ def _bases_identical(a: PPRBasis, b: PPRBasis) -> bool:
         and np.array_equal(am.indices, bm.indices)
         and np.array_equal(am.data, bm.data)
     )
-
-
-def _measure_incremental(
-    stream_tasks: int,
-    stream_batch: int,
-    stream_rounds: int,
-    cluster_size: int,
-    neighbors: int,
-    epsilon: float,
-    seed: int,
-) -> dict:
-    """Time the insertion-round protocol: repair vs full rebuild.
-
-    A clustered graph (see :func:`clustered_growable_graph`) grows by
-    one ``stream_batch``-task cluster per round, bridged to the
-    existing graph by a few edges.  Each round times (a) a cold
-    rebuild of the whole basis and (b) an incremental repair seeded by
-    the change journal, and checks the repaired basis stays within
-    tolerance of the rebuild.  The tolerance is
-    ``epsilon + 10·push_epsilon``: stored entries agree to push
-    accuracy, but an entry just above the ``epsilon`` storage cut-off
-    on one side may be truncated on the other, so stored matrices can
-    legitimately differ by up to ``epsilon`` plus push slack at the
-    boundary.  Both sides are serial pushes on one kernel design, so
-    the comparison is honest on any core count.
-    """
-    rng = spawn_rng(seed, f"perf-incremental-{stream_tasks}")
-    graph = clustered_growable_graph(
-        stream_tasks, cluster_size, neighbors, seed
-    )
-    damping = 0.5
-    with Stopwatch() as sw:
-        basis = PPRBasis.compute(
-            graph.normalized_csr(), damping,
-            epsilon=epsilon, method="push",
-        )
-    cold_seconds = sw.elapsed
-    graph.mark_clean()
-    rebuild_seconds: list[float] = []
-    repair_seconds: list[float] = []
-    repaired_rows: list[int] = []
-    reused_rows: list[int] = []
-    max_abs_diff = 0.0
-    for _ in range(stream_rounds):
-        new_ids = graph.add_tasks(stream_batch)
-        _add_cluster_edges(graph, new_ids, neighbors, rng)
-        # a few bridges into the existing graph (the realistic bit:
-        # new batches are not fully disconnected)
-        for _ in range(4):
-            i = int(new_ids[int(rng.integers(0, len(new_ids)))])
-            j = int(rng.integers(0, new_ids[0]))
-            graph.add_edge(i, j, float(rng.uniform(0.5, 1.0)))
-        delta = graph.mark_clean()
-        normalized = graph.normalized_csr()
-        with Stopwatch() as sw:
-            rebuilt = PPRBasis.compute(
-                normalized, damping, epsilon=epsilon, method="push"
-            )
-        rebuild_seconds.append(sw.elapsed)
-        stats = RepairStats()
-        with Stopwatch() as sw:
-            basis = basis.repair(
-                normalized, delta.dirty_rows, damping,
-                epsilon=epsilon, stats=stats,
-            )
-        repair_seconds.append(sw.elapsed)
-        repaired_rows.append(stats.repaired_rows)
-        reused_rows.append(stats.reused_rows)
-        diff = basis.matrix - rebuilt.matrix
-        if diff.nnz:
-            max_abs_diff = max(
-                max_abs_diff, float(np.abs(diff.data).max())
-            )
-    total_rebuild = sum(rebuild_seconds)
-    total_repair = sum(repair_seconds)
-    tolerance = max(epsilon + 10.0 * basis_push_epsilon(epsilon), 1e-9)
-    return {
-        "status": "ok",
-        "num_tasks": stream_tasks,
-        "final_tasks": graph.num_tasks,
-        "cluster_size": cluster_size,
-        "neighbors": neighbors,
-        "epsilon": epsilon,
-        "rounds": stream_rounds,
-        "batch": stream_batch,
-        "cold_seconds": cold_seconds,
-        "rebuild_seconds": rebuild_seconds,
-        "repair_seconds": repair_seconds,
-        "repaired_rows": repaired_rows,
-        "reused_rows": reused_rows,
-        "max_abs_diff": max_abs_diff,
-        "tolerance": tolerance,
-        "within_epsilon": bool(max_abs_diff <= tolerance),
-        "speedup": total_rebuild / max(total_repair, 1e-12),
-    }
 
 
 def _measure_sanitizer(
@@ -409,29 +245,16 @@ def perf_offline(
     num_workers: int | None = None,
     cache_dir: str | pathlib.Path | None = None,
     seed: int = 7,
-    incremental: bool = True,
-    stream_tasks: int = 5_000,
-    stream_batch: int = 100,
-    stream_rounds: int = 3,
-    stream_neighbors: int = 6,
-    cluster_size: int = 100,
     sanitizer: bool = True,
     profile_path: str | pathlib.Path | None = None,
 ) -> PerfOfflineResult:
-    """Measure kernel / basis / cache / incremental timings.
+    """Measure kernel / basis / cache / sanitizer timings.
 
     ``num_workers`` sets the pool size for the parallel measurement
     (default: the *usable* cpu count, capped at 8).  On a box with a
     single usable core the parallel timing is skipped and marked
     ``"skipped_single_core"`` — an honest result beats a fake 1.00x.
     ``cache_dir`` defaults to a throwaway temp directory.
-
-    ``incremental=False`` drops the insertion-round section; the
-    ``stream_*`` / ``cluster_size`` knobs size its workload
-    (``stream_tasks`` initial tasks in ``cluster_size``-task clusters,
-    ``stream_rounds`` rounds of ``stream_batch`` new tasks each).  Its
-    repair-vs-rebuild comparison is serial on both sides, so it never
-    needs a multicore skip.
 
     ``sanitizer=False`` drops the race-sanitizer tax section (a
     threaded lease hammer timed clean vs instrumented).
@@ -456,12 +279,6 @@ def perf_offline(
                 num_workers=num_workers,
                 cache_dir=cache_dir,
                 seed=seed,
-                incremental=incremental,
-                stream_tasks=stream_tasks,
-                stream_batch=stream_batch,
-                stream_rounds=stream_rounds,
-                stream_neighbors=stream_neighbors,
-                cluster_size=cluster_size,
                 sanitizer=sanitizer,
             )
         )
@@ -558,19 +375,7 @@ def perf_offline(
             "bit_identical": _bases_identical(cold.basis, warm.basis),
         }
 
-    # ---- layer 4: incremental repair vs rebuild -----------------------
-    if incremental:
-        result.incremental = _measure_incremental(
-            stream_tasks,
-            stream_batch,
-            stream_rounds,
-            cluster_size,
-            stream_neighbors,
-            basis_epsilon,
-            seed,
-        )
-
-    # ---- layer 5: race-sanitizer instrumentation tax ------------------
+    # ---- layer 4: race-sanitizer instrumentation tax ------------------
     if sanitizer:
         result.sanitizer = _measure_sanitizer()
     return result

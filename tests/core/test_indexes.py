@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.indexes import SparseEstimateIndex
 from repro.core.streaming import FrozenGraph, StreamingAssigner
-from repro.experiments.figures import _random_normalized_graph
+from repro.experiments.figures import random_normalized_graph
 
 
 class TestSparseEstimateIndex:
@@ -63,7 +63,7 @@ class TestScalableAssigner:
     """The assigner over a frozen CSR, as Figure 10's sweep runs it."""
 
     def make_assigner(self, n=200, m=8, k=2, seed=0):
-        normalized = _random_normalized_graph(n, m, seed)
+        normalized = random_normalized_graph(n, m, seed)
         return StreamingAssigner(FrozenGraph(normalized), damping=0.5, k=k)
 
     def test_serves_every_task_to_completion(self):
@@ -107,7 +107,7 @@ class TestScalableAssigner:
     def test_observation_biases_toward_neighborhood(self):
         """After positive evidence at a task, the worker's next request
         should prefer the evidence neighbourhood over the frontier."""
-        normalized = _random_normalized_graph(500, 10, seed=1)
+        normalized = random_normalized_graph(500, 10, seed=1)
         assigner = StreamingAssigner(
             FrozenGraph(normalized), damping=0.5, k=3
         )
@@ -131,7 +131,7 @@ class TestScalableAssigner:
 
         support_per_answer = {}
         for n in (200, 2000):
-            graph = CountingGraph(_random_normalized_graph(n, 8, 0))
+            graph = CountingGraph(random_normalized_graph(n, 8, 0))
             graph.row_sizes = []
             assigner = StreamingAssigner(graph, damping=0.5, k=2)
             for r in range(20):
@@ -166,7 +166,7 @@ class TestScalableAssigner:
         assert assigner.request("w") == 0
 
     def test_validation(self):
-        normalized = _random_normalized_graph(10, 3, seed=0)
+        normalized = random_normalized_graph(10, 3, seed=0)
         with pytest.raises(ValueError):
             StreamingAssigner(FrozenGraph(normalized), damping=0.5, k=0)
 
@@ -175,7 +175,7 @@ class TestRandomNormalizedGraph:
     def test_symmetric_and_bounded(self):
         import numpy as np
 
-        normalized = _random_normalized_graph(300, 6, seed=9)
+        normalized = random_normalized_graph(300, 6, seed=9)
         diff = abs(normalized - normalized.T)
         assert diff.nnz == 0 or diff.max() < 1e-12
         assert normalized.data.min() > 0
@@ -192,6 +192,6 @@ class TestRandomNormalizedGraph:
         assert eigenvalue <= 1.5  # principal submatrix is looser
 
     def test_deterministic(self):
-        a = _random_normalized_graph(100, 5, seed=4)
-        b = _random_normalized_graph(100, 5, seed=4)
+        a = random_normalized_graph(100, 5, seed=4)
+        b = random_normalized_graph(100, 5, seed=4)
         assert (a != b).nnz == 0

@@ -293,3 +293,22 @@ class TestParallelBasis:
         assert ppr._resolve_workers(None) == 1
         assert ppr._resolve_workers(0) == 1
         assert ppr._resolve_workers(3) == 3
+
+
+class TestAssembleCsr:
+    def test_int32_columns_are_stored_without_a_copy(self):
+        """Columns staged in the index dtype scipy keeps become the
+        stored indices as they are, not a second, narrowed copy."""
+        cols = np.array([0, 2, 1, 0, 1, 2], dtype=np.int32)
+        vals = np.linspace(0.1, 0.6, 6)
+        matrix = ppr.assemble_csr(np.array([2, 1, 3]), cols, vals, (3, 3))
+        assert matrix.indptr.tolist() == [0, 2, 3, 6]
+        assert matrix.indices.dtype == np.int32
+        assert np.shares_memory(matrix.indices, cols)
+
+    def test_push_units_ship_int32_columns(self):
+        normalized = random_normalized_graph(50, 4, 3)
+        _, cols, _ = ppr.push_sources(
+            PushKernel(normalized), range(50), 0.5, 1e-7, 1e-6
+        )
+        assert cols.dtype == np.int32

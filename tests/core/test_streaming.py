@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from repro.core.graph import SimilarityGraph
 from repro.core.streaming import FrozenGraph, GrowableGraph, StreamingAssigner
 from repro.experiments.figures import random_normalized_graph
 from repro.utils.rng import spawn_rng
@@ -33,6 +34,13 @@ class TestGrowableGraph:
         graph.add_edge(0, 1, 0.5)
         graph.add_edge(0, 1, 0.8)
         assert graph.degree(0) == pytest.approx(0.8)
+        assert graph.num_edges == 1
+        # an identical rewrite leaves the degree and S' exactly as they
+        # were (exact float equality: the values are positive)
+        degree, row = graph.degree(0), graph.normalized_row(0)
+        graph.add_edge(0, 1, 0.8)
+        assert graph.degree(0) == degree
+        assert graph.normalized_row(0) == row
         assert graph.num_edges == 1
 
     def test_normalized_row_formula(self):
@@ -79,87 +87,6 @@ class TestGrowableGraph:
         empty = graph.add_tasks(0)
         assert list(empty) == []
         assert graph.num_tasks == 2
-
-    def test_change_journal_tracks_dirty_neighborhoods(self):
-        graph = GrowableGraph()
-        graph.add_tasks(4)
-        graph.add_edge(0, 1, 1.0)
-        graph.mark_clean()
-        assert graph.delta().is_clean
-        # 1's degree changes, so row 0 (holding entry (0,1)) is dirty too
-        graph.add_edge(1, 2, 1.0)
-        delta = graph.delta()
-        assert delta.dirty_rows == (0, 1, 2)
-        assert list(delta.new_tasks) == []
-        # non-destructive: delta() again gives the same answer
-        assert graph.delta().dirty_rows == (0, 1, 2)
-        flushed = graph.mark_clean()
-        assert flushed.dirty_rows == (0, 1, 2)
-        assert graph.delta().is_clean
-
-    def test_journal_skips_noop_edge_rewrite(self):
-        graph = GrowableGraph()
-        graph.add_tasks(2)
-        graph.add_edge(0, 1, 0.5)
-        graph.mark_clean()
-        graph.add_edge(0, 1, 0.5)  # identical weight: S' untouched
-        assert graph.delta().is_clean
-        graph.add_edge(0, 1, 0.75)  # real change
-        assert graph.delta().dirty_rows == (0, 1)
-
-    def test_journal_records_new_tasks(self):
-        graph = GrowableGraph()
-        graph.add_tasks(2)
-        graph.mark_clean()
-        graph.add_tasks(3)
-        delta = graph.delta()
-        assert delta.base_tasks == 2
-        assert list(delta.new_tasks) == [2, 3, 4]
-        assert not delta.is_clean
-
-    def test_normalized_csr_matches_the_entry_loop_bit_for_bit(self):
-        rng = spawn_rng(3, "normalized-csr")
-        graph = GrowableGraph()
-        graph.add_tasks(3005)  # tasks 3000.. stay isolated
-        for i in range(3000):
-            for j in rng.integers(0, 3000, size=4).tolist():
-                if j != i:
-                    graph.add_edge(i, j, float(rng.uniform(0.1, 1.0)))
-        indptr, indices, data = loop_normalized_csr(graph)
-        snapshot = graph.normalized_csr()
-        assert snapshot.indptr.tolist() == indptr
-        assert snapshot.indices.tolist() == indices
-        assert snapshot.data.dtype == np.float64
-        assert snapshot.data.tobytes() == data.tobytes()
-
-    def test_similarity_csr_roundtrips_raw_weights(self):
-        graph = GrowableGraph()
-        graph.add_tasks(3)
-        graph.add_edge(0, 1, 0.5)
-        graph.add_edge(1, 2, 0.8)
-        sim = graph.similarity_csr()
-        assert sim.shape == (3, 3)
-        assert sim[0, 1] == pytest.approx(0.5)
-        assert sim[1, 0] == pytest.approx(0.5)
-        assert sim[1, 2] == pytest.approx(0.8)
-        assert sim.nnz == 4
-
-
-def loop_normalized_csr(graph):
-    """``S'`` assembled entry by entry, as ``normalized_csr`` once did:
-    the oracle for the vectorised scaling."""
-    n = graph.num_tasks
-    degree = np.array([graph.degree(i) for i in range(n)], dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        inv_sqrt = 1.0 / np.sqrt(degree)
-    inv_sqrt[~np.isfinite(inv_sqrt)] = 0.0
-    indptr, indices, data = [0], [], []
-    for i in range(n):
-        for j, weight in sorted(graph.neighbors(i).items()):
-            indices.append(j)
-            data.append(weight * inv_sqrt[i] * inv_sqrt[j])
-        indptr.append(len(indices))
-    return indptr, indices, np.array(data, dtype=np.float64)
 
 
 def serve_until_refused_twice(assigner, workers, observed=0.8):
@@ -330,9 +257,16 @@ class TestStreamingAssigner:
                 j = int(rng.integers(0, 12))
                 if j != i:
                     graph.add_edge(i, j, float(rng.uniform(0.5, 1.0)))
+        edges = [
+            (i, j, weight)
+            for i in range(12)
+            for j, weight in graph.neighbors(i).items()
+            if i < j
+        ]
+        normalized = SimilarityGraph.from_edges(12, edges).normalized
         live = StreamingAssigner(graph, damping=0.5, k=2)
         frozen = StreamingAssigner(
-            FrozenGraph(graph.normalized_csr()), damping=0.5, k=2
+            FrozenGraph(normalized), damping=0.5, k=2
         )
         for step in range(60):
             worker = f"w{step % 3}"
@@ -377,7 +311,7 @@ class TestStreamingAssigner:
         assert assigner.num_completed > 0
 
     def test_frozen_graph_cannot_grow(self):
-        normalized = GrowableGraph().normalized_csr()
+        normalized = sparse.csr_matrix((0, 0))
         assigner = StreamingAssigner(FrozenGraph(normalized), damping=0.5)
         with pytest.raises(TypeError):
             assigner.insert_tasks(1)
